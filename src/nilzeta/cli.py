@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .combinat import lie_dims
 from .igusa import IgusaData, igusa_middle, igusa_permutation, igusa_subset
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, format_terms, poly_text
 from .liering import (
     b_matrix_direct,
     b_matrix_recursive,
@@ -30,7 +30,6 @@ from .liering import (
     specialize,
 )
 from .oracle import (
-    DEFAULT_CEILING,
     CeilingExceededError,
     LatticeType,
     congruence_index_check,
@@ -64,36 +63,16 @@ def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def poly_text(poly: LaurentPoly, qname: str = "q", tname: str = "t") -> str:
-    if not poly:
-        return "0"
-    out = ""
-    for (eq, et), c in poly.sorted_terms():
-        mono = []
-        if abs(c) != 1 or (eq == 0 and et == 0):
-            mono.append(str(abs(c)))
-        if eq:
-            mono.append(qname if eq == 1 else f"{qname}^{eq}")
-        if et:
-            mono.append(tname if et == 1 else f"{tname}^{et}")
-        body = " ".join(mono)
-        if not out:
-            out = ("-" if c < 0 else "") + body
-        else:
-            out += ("-" if c < 0 else "+") + body
-    return out
-
-
-def rational_text(x: RationalFunction, qname: str = "q", tname: str = "t") -> str:
-    num = poly_text(x.num, qname, tname)
+def rational_text(x: RationalFunction, tname: str = "t") -> str:
+    num = poly_text(x.num, tname)
     if len(x.num) > 1:
         num = f"({num})"
     if not x.den:
         return num
-    pieces = []
-    for f in x.den:
-        inner = poly_text(LaurentPoly({(0, 0): 1, (f.a, f.b): -1}), qname, tname)
-        pieces.append(f"({inner})" + (f"^{f.mult}" if f.mult > 1 else ""))
+    pieces = [
+        f"({poly_text(f.base_poly(), tname)})" + (f"^{f.mult}" if f.mult > 1 else "")
+        for f in x.den
+    ]
     den = "".join(pieces)
     if len(pieces) == 1 and x.den[0].mult == 1:
         return f"{num}/{den}"
@@ -110,36 +89,28 @@ def _latex_monomial_qs(eq: int, et: int) -> str:
     return f"q^{{{eq}-{spart}}}"
 
 
-def _latex_monomial_y(et: int) -> str:
-    return "Y" if et == 1 else f"Y^{{{et}}}"
-
-
 def poly_latex(poly: LaurentPoly, y_variable: bool = False) -> str:
-    if not poly:
-        return "0"
-    out = ""
-    for (eq, et), c in poly.sorted_terms():
+    def monomial(eq: int, et: int, c: int) -> str:
         if (eq, et) == (0, 0):
-            body = str(abs(c))
+            return str(c)
+        if y_variable:
+            mono = "Y" if et == 1 else f"Y^{{{et}}}"
         else:
-            mono = _latex_monomial_y(et) if y_variable else _latex_monomial_qs(eq, et)
-            body = mono if abs(c) == 1 else f"{abs(c)}{mono}"
-        if not out:
-            out = ("-" if c < 0 else "") + body
-        else:
-            out += ("-" if c < 0 else "+") + body
-    return out
+            mono = _latex_monomial_qs(eq, et)
+        return mono if c == 1 else f"{c}{mono}"
+
+    return format_terms(poly, monomial)
 
 
 def rational_latex(x: RationalFunction, y_variable: bool = False) -> str:
     num = poly_latex(x.num, y_variable)
     if not x.den:
         return num
-    pieces = []
-    for f in x.den:
-        mono = _latex_monomial_y(f.b) if y_variable else _latex_monomial_qs(f.a, f.b)
-        pieces.append(f"(1-{mono})" + (f"^{{{f.mult}}}" if f.mult > 1 else ""))
-    return f"\\frac{{{num}}}{{{''.join(pieces)}}}"
+    den = "".join(
+        f"({poly_latex(f.base_poly(), y_variable)})" + (f"^{{{f.mult}}}" if f.mult > 1 else "")
+        for f in x.den
+    )
+    return f"\\frac{{{num}}}{{{den}}}"
 
 
 def _linear_text(b: int, a: int) -> str:
@@ -149,34 +120,32 @@ def _linear_text(b: int, a: int) -> str:
     return f"{lead}-{a}" if a > 0 else f"{lead}+{-a}"
 
 
+def _factor_product(coeff: int, factors) -> str:
+    """coeff times the parenthesised linear factors; a unit coefficient in
+    front of at least one factor is left out."""
+    prefix = "" if coeff == 1 and factors else str(coeff)
+    return prefix + "".join(f"({_linear_text(b, a)})" for b, a in factors)
+
+
 def linear_rational_text(x: LinearFactorRational) -> str:
     c = x.const
-    if x.num_factors:
-        prefix = "" if c.numerator == 1 else str(c.numerator)
-        if len(x.num_factors) == 1 and x.num_factors[0][1] == 0:
-            num = prefix + _linear_text(*x.num_factors[0])
-        else:
-            num = prefix + "".join(f"({_linear_text(b, a)})" for b, a in x.num_factors)
+    if len(x.num_factors) == 1 and x.num_factors[0][1] == 0:
+        num = ("" if c.numerator == 1 else str(c.numerator)) + _linear_text(*x.num_factors[0])
     else:
-        num = str(c.numerator)
+        num = _factor_product(c.numerator, x.num_factors)
     if not x.den_factors and c.denominator == 1:
         return num
-    dprefix = "" if c.denominator == 1 else str(c.denominator)
-    den = dprefix + "".join(f"({_linear_text(b, a)})" for b, a in x.den_factors)
-    if not dprefix and len(x.den_factors) == 1:
+    den = _factor_product(c.denominator, x.den_factors)
+    if c.denominator == 1 and len(x.den_factors) == 1:
         return f"{num}/{den}"
     return f"{num}/({den})"
 
 
 def linear_rational_latex(x: LinearFactorRational) -> str:
-    c = x.const
-    nprefix = "" if c.numerator == 1 and x.num_factors else str(c.numerator)
-    num = nprefix + "".join(f"({_linear_text(b, a)})" for b, a in x.num_factors)
-    dprefix = "" if c.denominator == 1 and x.den_factors else str(c.denominator)
-    den = dprefix + "".join(f"({_linear_text(b, a)})" for b, a in x.den_factors)
-    if not x.den_factors and c.denominator == 1:
+    num = _factor_product(x.const.numerator, x.num_factors)
+    if not x.den_factors and x.const.denominator == 1:
         return num
-    return f"\\frac{{{num}}}{{{den}}}"
+    return f"\\frac{{{num}}}{{{_factor_product(x.const.denominator, x.den_factors)}}}"
 
 
 def linear_rational_obj(x: LinearFactorRational) -> dict:
@@ -192,9 +161,7 @@ def render_rational(x: RationalFunction, fmt: str, y_variable: bool = False) -> 
         return _dumps(rational_to_obj(x))
     if fmt == "latex":
         return rational_latex(x, y_variable)
-    if y_variable:
-        return rational_text(x, qname="q", tname="Y")
-    return rational_text(x)
+    return rational_text(x, "Y" if y_variable else "t")
 
 
 def render_linear_rational(x: LinearFactorRational, fmt: str) -> str:
@@ -244,29 +211,18 @@ def report_obj(report: ZetaReport) -> dict:
 def render_report(report: ZetaReport, fmt: str) -> str:
     if fmt == "json":
         return _dumps(report_obj(report))
-    if fmt == "latex":
-        lines = [
-            f"ideal: {rational_latex(report.ideal)}",
-            f"graded: {rational_latex(report.graded)}",
-            f"rep_local: {rational_latex(report.rep_local)}",
-            f"rep_topological: {linear_rational_latex(report.rep_topological)}",
-            f"topological: {linear_rational_latex(report.topological)}",
-            f"reduced: {rational_latex(report.reduced, y_variable=True)}",
-            f"mu: {fraction_str(report.mu)}",
-            f"alpha: {report.alpha}",
-            f"beta: {fraction_str(report.beta)}",
-        ]
-        return "\n".join(lines)
-    lines = [
-        f"m={report.dims.m} n={report.dims.n} e={report.dims.e} f={report.dims.f} "
-        f"d={report.dims.d} h={report.dims.h}",
+    dims = report.dims
+    lines = [] if fmt == "latex" else [
+        f"m={dims.m} n={dims.n} e={dims.e} f={dims.f} d={dims.d} h={dims.h}",
         f"a={list(report.data.a)} b={list(report.data.b)}",
-        f"ideal: {rational_text(report.ideal)}",
-        f"graded: {rational_text(report.graded)}",
-        f"rep_local: {rational_text(report.rep_local)}",
-        f"rep_topological: {linear_rational_text(report.rep_topological)}",
-        f"topological: {linear_rational_text(report.topological)}",
-        f"reduced: {rational_text(report.reduced, tname='Y')}",
+    ]
+    lines += [
+        f"ideal: {render_rational(report.ideal, fmt)}",
+        f"graded: {render_rational(report.graded, fmt)}",
+        f"rep_local: {render_rational(report.rep_local, fmt)}",
+        f"rep_topological: {render_linear_rational(report.rep_topological, fmt)}",
+        f"topological: {render_linear_rational(report.topological, fmt)}",
+        f"reduced: {render_rational(report.reduced, fmt, y_variable=True)}",
         f"mu: {fraction_str(report.mu)}",
         f"alpha: {report.alpha}",
         f"beta: {fraction_str(report.beta)}",
@@ -274,24 +230,33 @@ def render_report(report: ZetaReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_BOUND.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test for p < PRIME_BOUND."""
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    for base in _PRIME_BASES:
+        if p % base == 0:
+            return p == base
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in _PRIME_BASES:
+        x = pow(base, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 1
     return True
-
-
-def _ceiling(args) -> int:
-    if getattr(args, "ceiling", None) is not None:
-        return args.ceiling
-    env = os.environ.get("NILZETA_ORACLE_CEILING")
-    if env:
-        return int(env)
-    return DEFAULT_CEILING
 
 
 def _check_igusa(m: int, n: int, seed: int) -> bool:
@@ -391,7 +356,7 @@ def _run_verify(args) -> int:
         args.prime,
         args.upto,
         graded=args.graded,
-        ceiling=_ceiling(args),
+        ceiling=args.ceiling,
         threads=args.threads,
     )
     all_match = True
@@ -472,10 +437,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.m < 1 or args.n < 1:
         parser.error("m and n must be positive")
-    if getattr(args, "prime", None) is not None and not _is_prime(args.prime):
-        parser.error(f"{args.prime} is not prime")
+    if getattr(args, "prime", None) is not None:
+        if args.prime >= PRIME_BOUND:
+            parser.error(f"--prime must be below {PRIME_BOUND}")
+        if not _is_prime(args.prime):
+            parser.error(f"{args.prime} is not prime")
     if getattr(args, "upto", None) is not None and args.upto < 0:
         parser.error("--upto must be nonnegative")
+    if args.verb == "verify":
+        if args.threads < 1:
+            parser.error("--threads must be at least 1")
+        env = os.environ.get("NILZETA_ORACLE_CEILING")
+        if args.ceiling is None and env:
+            try:
+                args.ceiling = int(env)
+            except ValueError:
+                parser.error(f"NILZETA_ORACLE_CEILING must be an integer, got {env!r}")
     try:
         if args.verb == "ideal":
             print(render_rational(ideal_zeta(args.m, args.n), args.format))

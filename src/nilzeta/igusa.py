@@ -49,44 +49,32 @@ def _y_power(data: IgusaData, degree_coeffs: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly({(data.y_qexp * k, 0): c for k, c in enumerate(degree_coeffs) if c})
 
 
-def _x_monomial(data: IgusaData, i: int) -> LaurentPoly:
-    a, b = data.x[i - 1]
-    return LaurentPoly.term(1, a, b)
-
-
-def _one_minus_x(data: IgusaData, i: int) -> LaurentPoly:
-    a, b = data.x[i - 1]
-    return LaurentPoly({(0, 0): 1, (a, b): -1})
-
-
 def _denominator(data: IgusaData):
     return [(a, b, 1) for a, b in data.x]
 
 
-def igusa_subset(data: IgusaData) -> RationalFunction:
-    """Subset form, assembled over the common denominator prod(1 - X_i)."""
-    n = data.n
+def _subset_sum(data: IgusaData, top: int) -> RationalFunction:
+    """Sum over I subset of [top] of (n choose I)_Y * prod_{i in I} X_i
+    * prod_{i in [top] - I} (1 - X_i), over the common denominator."""
     num = LaurentPoly.zero()
-    for mask in range(1 << n):
-        subset = [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
-        part = _y_power(data, gaussian_multinomial(n, subset))
-        for i in range(1, n + 1):
-            part = part * (_x_monomial(data, i) if i in subset else _one_minus_x(data, i))
+    for mask in range(1 << top):
+        subset = [i for i in range(1, top + 1) if mask >> (i - 1) & 1]
+        part = _y_power(data, gaussian_multinomial(data.n, subset))
+        for i in range(1, top + 1):
+            a, b = data.x[i - 1]
+            part = part * LaurentPoly({(a, b): 1} if i in subset else {(0, 0): 1, (a, b): -1})
         num = num + part
     return RationalFunction(num, _denominator(data))
+
+
+def igusa_subset(data: IgusaData) -> RationalFunction:
+    """Subset form, assembled over the common denominator prod(1 - X_i)."""
+    return _subset_sum(data, data.n)
 
 
 def igusa_middle(data: IgusaData) -> RationalFunction:
     """Variant that factors 1/(1 - X_n) out of a subset sum over [n-1]."""
-    n = data.n
-    num = LaurentPoly.zero()
-    for mask in range(1 << (n - 1)):
-        subset = [i for i in range(1, n) if mask >> (i - 1) & 1]
-        part = _y_power(data, gaussian_multinomial(n, subset))
-        for i in range(1, n):
-            part = part * (_x_monomial(data, i) if i in subset else _one_minus_x(data, i))
-        num = num + part
-    return RationalFunction(num, _denominator(data))
+    return _subset_sum(data, data.n - 1)
 
 
 @lru_cache(maxsize=None)

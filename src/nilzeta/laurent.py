@@ -5,12 +5,17 @@ quotients of these polynomials.  A polynomial is a map from exponent pairs
 (eq, et) to nonzero arbitrary-precision integers, kept in canonical form:
 no zero coefficients are stored and the term order used for serialization
 and rendering is lexicographic on (et, eq).
+
+The constructor is the one place that merges repeated exponents and drops
+zero coefficients; arithmetic accumulates into a plain dict and hands it to
+the constructor.  `format_terms` is the one sign-joining term loop behind
+the text and LaTeX renderings and `repr`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 class LaurentPoly:
@@ -78,11 +83,7 @@ class LaurentPoly:
             other = LaurentPoly.term(other)
         out = dict(self._terms)
         for key, c in other._terms.items():
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
+            out[key] = out.get(key, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -110,11 +111,7 @@ class LaurentPoly:
         for (qa, ta), ca in a.items():
             for (qb, tb), cb in b.items():
                 key = (qa + qb, ta + tb)
-                acc = out.get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, 0) + ca * cb
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -148,12 +145,7 @@ class LaurentPoly:
         """Evaluate at t = 1, leaving a Laurent polynomial in q alone."""
         out: dict[tuple[int, int], int] = {}
         for (eq, _), c in self._terms.items():
-            key = (eq, 0)
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+            out[(eq, 0)] = out.get((eq, 0), 0) + c
         return LaurentPoly(out)
 
     def value_at_q(self, q_value) -> Fraction:
@@ -174,24 +166,35 @@ class LaurentPoly:
         return self._terms[(0, 0)]
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "LaurentPoly(0)"
-        bits = []
-        for (eq, et), c in self.sorted_terms():
-            piece = []
-            if abs(c) != 1 or (eq == 0 and et == 0):
-                piece.append(str(abs(c)))
-            if eq:
-                piece.append("q" if eq == 1 else f"q^{eq}")
-            if et:
-                piece.append("t" if et == 1 else f"t^{et}")
-            sign = "-" if c < 0 else "+"
-            bits.append((sign, " ".join(piece)))
-        first_sign, first = bits[0]
-        text = (first_sign if first_sign == "-" else "") + first
-        for sign, piece in bits[1:]:
-            text += sign + piece
-        return f"LaurentPoly({text})"
+        return f"LaurentPoly({poly_text(self)})"
+
+
+def format_terms(poly: LaurentPoly, monomial: Callable[[int, int, int], str]) -> str:
+    """Join the terms of poly in canonical order with their signs.
+
+    monomial(eq, et, |c|) renders one term without its sign; the zero
+    polynomial renders as "0".
+    """
+    if not poly:
+        return "0"
+    out = ""
+    for (eq, et), c in poly.sorted_terms():
+        out += ("-" if c < 0 else "+" if out else "") + monomial(eq, et, abs(c))
+    return out
+
+
+def poly_text(poly: LaurentPoly, tname: str = "t") -> str:
+    """Plain-text form such as 1-q+2 q^2 t^3, with t shown as tname."""
+
+    def monomial(eq: int, et: int, c: int) -> str:
+        mono = [str(c)] if c != 1 or (eq, et) == (0, 0) else []
+        if eq:
+            mono.append("q" if eq == 1 else f"q^{eq}")
+        if et:
+            mono.append(tname if et == 1 else f"{tname}^{et}")
+        return " ".join(mono)
+
+    return format_terms(poly, monomial)
 
 
 def divmod_one_minus(poly: LaurentPoly, a: int, b: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -215,16 +218,8 @@ def divmod_one_minus(poly: LaurentPoly, a: int, b: int) -> tuple[LaurentPoly, La
             eq, et = key
             c = work.pop(key)
             lower = (eq - a, et - b)
-            acc = quo.get(lower, 0) - c
-            if acc:
-                quo[lower] = acc
-            elif lower in quo:
-                del quo[lower]
-            acc = work.get(lower, 0) + c
-            if acc:
-                work[lower] = acc
-            elif lower in work:
-                del work[lower]
+            quo[lower] = quo.get(lower, 0) - c
+            work[lower] = work.get(lower, 0) + c
     quotient = LaurentPoly({(eq, et + tmin): c for (eq, et), c in quo.items()})
     remainder = LaurentPoly({(eq, et + tmin): c for (eq, et), c in work.items()})
     return quotient, remainder

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterator
 
-from .combinat import e_count, gaussian_multinomial, lie_dims
+from .combinat import compositions_revlex, e_count, gaussian_multinomial, lie_dims
 from .liering import LieStructure, build_structure, full_commutator_matrix, specialize
 from .rational import rf_series_coeffs
 from .zetas import graded_ideal_zeta, ideal_zeta
@@ -56,6 +56,8 @@ class HnfBasis:
     matrix: tuple[tuple[int, ...], ...]
 
     def index_exponent(self, p: int) -> int:
+        if p < 2:
+            raise ValueError("p must be at least 2")
         k = 0
         det = 1
         for i in range(self.dim):
@@ -68,37 +70,35 @@ class HnfBasis:
         return k
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _hnf_rows(comp, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every HNF basis with diagonal (p^k for k in comp), as row tuples."""
+    dim = len(comp)
+    diag = [p**ki for ki in comp]
+    column_choices = [range(diag[j]) for j in range(dim) for _ in range(j)]
+    for flat in iproduct(*column_choices):
+        rows = [[0] * dim for _ in range(dim)]
+        pos = 0
+        for j in range(dim):
+            rows[j][j] = diag[j]
+            for i in range(j):
+                rows[i][j] = flat[pos]
+                pos += 1
+        yield tuple(tuple(r) for r in rows)
 
 
 def hnf_enumerate(dim: int, p: int, k: int) -> Iterator[HnfBasis]:
     """Yield every index-p^k sublattice of Z^dim exactly once."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    for comp in _compositions(k, dim):
-        diag = [p**ki for ki in comp]
-        column_choices = [range(diag[j]) for j in range(dim) for _ in range(j)]
-        for flat in iproduct(*column_choices):
-            rows = [[0] * dim for _ in range(dim)]
-            pos = 0
-            for j in range(dim):
-                rows[j][j] = diag[j]
-                for i in range(j):
-                    rows[i][j] = flat[pos]
-                    pos += 1
-            yield HnfBasis(dim=dim, matrix=tuple(tuple(r) for r in rows))
+    for comp in compositions_revlex(k, dim)[::-1]:
+        for rows in _hnf_rows(comp, p):
+            yield HnfBasis(dim=dim, matrix=rows)
 
 
 def hnf_count(dim: int, p: int, k: int) -> int:
     """Number of index-p^k sublattices of Z^dim, by the same parametrization."""
     total = 0
-    for comp in _compositions(k, dim):
+    for comp in compositions_revlex(k, dim):
         size = 1
         for j, kj in enumerate(comp):
             size *= p ** (kj * j)
@@ -120,14 +120,12 @@ def hnf_contains(matrix, v) -> bool:
     return not any(v)
 
 
-def _bracket_tables(struct: LieStructure):
+def _bracket_tables(brackets, d: int, e: int):
     """Per-generator sparse bracket actions: for generator g, a list of
     (coordinate j, center index k-1, sign) such that [b_g, u] picks up
     sign * u_j in central coordinate k."""
-    d = struct.dims.d
-    e = struct.dims.e
     tables: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
-    for ix, iy, k in struct.brackets:
+    for ix, iy, k in brackets:
         tables[ix].append((e + iy, k - 1, 1))
         tables[e + iy].append((ix, k - 1, -1))
     return tables
@@ -195,10 +193,7 @@ def _counts_for_diagonals(bracket_triples, d: int, n: int, e: int, p: int, big_k
     Returns partial ideal and graded count vectors covering tail indices
     kT >= 1; the tail-free term is closed-form and added by the caller.
     """
-    struct_tables: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
-    for ix, iy, k in bracket_triples:
-        struct_tables[ix].append((e + iy, k - 1, 1))
-        struct_tables[e + iy].append((ix, k - 1, -1))
+    struct_tables = _bracket_tables(bracket_triples, d, e)
     tails: dict[int, list] = {
         kt: [t.matrix for t in hnf_enumerate(n, p, kt)] for kt in range(1, big_k + 1)
     }
@@ -208,19 +203,8 @@ def _counts_for_diagonals(bracket_triples, d: int, n: int, e: int, p: int, big_k
         ku = sum(comp)
         if ku >= big_k:
             continue
-        diag = [p**ki for ki in comp]
-        column_choices = [range(diag[j]) for j in range(d) for _ in range(j)]
-        for flat in iproduct(*column_choices):
-            rows = [[0] * d for _ in range(d)]
-            pos = 0
-            for j in range(d):
-                rows[j][j] = diag[j]
-                for i in range(j):
-                    rows[i][j] = flat[pos]
-                    pos += 1
-            vectors = []
-            for row in rows:
-                vectors.extend(_bracket_vectors(struct_tables, n, row))
+        for rows in _hnf_rows(comp, p):
+            vectors = [v for row in rows for v in _bracket_vectors(struct_tables, n, row)]
             basis = _lattice_basis(vectors, n)
             for kt in range(1, big_k - ku + 1):
                 weight = p ** (d * kt)
@@ -246,7 +230,7 @@ def dirichlet_counts(struct: LieStructure, p: int, upto: int,
     d, n, e = struct.dims.d, struct.dims.n, struct.dims.e
     ideal = [hnf_count(d, p, k) for k in range(upto + 1)]
     graded = list(ideal)
-    diagonals = [c for ku in range(upto) for c in _compositions(ku, d)]
+    diagonals = [c for ku in range(upto) for c in compositions_revlex(ku, d)[::-1]]
     if threads > 1 and len(diagonals) > 1:
         chunks = [diagonals[i::threads] for i in range(threads)]
         chunks = [c for c in chunks if c]
@@ -283,18 +267,14 @@ def count_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
     """Literal enumeration over full-rank HNF bases; used to cross-check the
     block-decomposed fast path on small instances."""
     d, n, h = struct.dims.d, struct.dims.n, struct.dims.h
-    tables = _bracket_tables(struct)
+    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
     count = 0
     for basis in hnf_enumerate(h, p, k):
-        ok = True
-        for row in basis.matrix:
-            for v in _bracket_vectors(tables, n, row[:d]):
-                if not hnf_contains(basis.matrix, (0,) * d + v):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            hnf_contains(basis.matrix, (0,) * d + v)
+            for row in basis.matrix
+            for v in _bracket_vectors(tables, n, row[:d])
+        ):
             count += 1
     return count
 
@@ -302,13 +282,11 @@ def count_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
 def count_graded_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
     """Direct pair enumeration for the graded condition."""
     d, n = struct.dims.d, struct.dims.n
-    tables = _bracket_tables(struct)
+    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
     count = 0
     for k1 in range(k + 1):
         for u in hnf_enumerate(d, p, k1):
-            vectors = []
-            for row in u.matrix:
-                vectors.extend(_bracket_vectors(tables, n, row))
+            vectors = [v for row in u.matrix for v in _bracket_vectors(tables, n, row)]
             for t in hnf_enumerate(n, p, k - k1):
                 if all(hnf_contains(t.matrix, v) for v in vectors):
                     count += 1
@@ -371,6 +349,8 @@ def snf_valuations(mat, p: int) -> tuple[tuple[int, ...], int]:
     since sorting the diagonal valuations gives the elementary-divisor
     valuations directly.
     """
+    if p < 2:
+        raise ValueError("p must be at least 2")
     a = [list(row) for row in mat]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0

@@ -220,11 +220,7 @@ def rf_series_coeffs(x: RationalFunction, upto: int) -> list[LaurentPoly]:
                 if ta + tb > upto:
                     continue
                 key = (qa + qb, ta + tb)
-                acc = new.get(key, 0) + ca * cb
-                if acc:
-                    new[key] = acc
-                elif key in new:
-                    del new[key]
+                new[key] = new.get(key, 0) + ca * cb
         series = new
     out = []
     for k in range(upto + 1):

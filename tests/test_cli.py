@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nilzeta.cli import main
+from nilzeta.cli import PRIME_BOUND, _is_prime, main
 from nilzeta.rational import rational_dumps, rational_loads
 from nilzeta.zetas import ideal_zeta
 
@@ -156,6 +156,59 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "1", "1", "--prime", "4"])
+    assert exc.value.code == 2
+
+
+def test_verify_bad_ceiling_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NILZETA_ORACLE_CEILING", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "1", "1"])
+    assert exc.value.code == 2
+    assert "NILZETA_ORACLE_CEILING" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_threads_must_be_positive(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "1", "1", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_is_prime_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % f for f in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(-3, 5000) if _is_prime(p)] == [p for p in range(-3, 5000) if trial(p)]
+
+
+@pytest.mark.parametrize(
+    "p, prime",
+    [
+        (2305843009213693951, True),  # 2^61 - 1
+        (10**24 + 7, True),
+        (1000000007 * 998244353, False),
+        (1000000000039 * 1000000000061, False),
+        (561, False),  # Carmichael
+        (3215031751, False),  # Carmichael, strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # strong pseudoprime to the first 9 prime bases
+    ],
+)
+def test_is_prime_large(p, prime):
+    assert _is_prime(p) is prime
+
+
+def test_coeffs_large_prime(capsys):
+    p = 2305843009213693951
+    code, out, _ = run_cli(capsys, "coeffs", "1", "1", "--upto", "1", "--prime", str(p))
+    assert code == 0
+    assert out.splitlines()[1] == f"k=1: 1+q = {1 + p} at q={p}"
+
+
+@pytest.mark.parametrize("p", [1000000007 * 998244353, 3215031751, PRIME_BOUND, PRIME_BOUND + 2])
+def test_prime_option_refuses_composites_and_the_bound(capsys, p):
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "1", "1", "--prime", str(p)])
     assert exc.value.code == 2
 
 

@@ -7,6 +7,7 @@ import pytest
 from nilzeta.liering import abelian_structure, build_structure
 from nilzeta.oracle import (
     CeilingExceededError,
+    HnfBasis,
     LatticeType,
     congruence_index_check,
     count_graded_ideals,
@@ -147,6 +148,18 @@ def test_snf_valuations_needs_combination():
     vals, zero = snf_valuations([[4, 6], [6, 4]], 2)
     assert zero == 0
     assert vals == (1, 1)  # divisors 2 and 10 up to units
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_snf_valuations_rejects_p_below_two(p):
+    with pytest.raises(ValueError):
+        snf_valuations([[2]], p)
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_index_exponent_rejects_p_below_two(p):
+    with pytest.raises(ValueError):
+        HnfBasis(1, ((2,),)).index_exponent(p)
 
 
 def test_snf_valuations_rectangular():
