@@ -113,8 +113,34 @@ def test_abelian_structure_counts_all_sublattices(m, n):
 
 
 def test_dirichlet_counts_threads_deterministic():
-    struct = build_structure(1, 2)
-    assert dirichlet_counts(struct, 2, 4, threads=1) == dirichlet_counts(struct, 2, 4, threads=3)
+    for m, n, p, upto in [(1, 2, 2, 4), (2, 2, 2, 4)]:
+        struct = build_structure(m, n)
+        assert dirichlet_counts(struct, p, upto, threads=1) == dirichlet_counts(struct, p, upto, threads=3)
+
+
+# Ideal and graded counts of every `verify` case in the benchmark pool, plus
+# two cases where a diagonal exponent exceeds the tail budget K - kU.  The
+# lists were produced by the full (U, T) enumeration, so any change to the
+# enumerator has to reproduce them exactly.
+PINNED_COUNTS = {
+    (2, 2, 2, 4): ([1, 31, 651, 11811, 200787], [1, 31, 651, 11811, 200787]),
+    (2, 2, 3, 3): ([1, 121, 11011, 925771], [1, 121, 11011, 925771]),
+    (1, 3, 2, 5): ([1, 15, 155, 1507, 13491, 116307], [1, 15, 155, 1402, 11916, 98247]),
+    (1, 4, 2, 4): ([1, 31, 651, 12291, 215667], [1, 31, 651, 11826, 201252]),
+    (3, 2, 2, 3): ([1, 127, 10795, 788035], [1, 127, 10795, 788035]),
+    (1, 2, 2, 7): ([1, 7, 35, 179, 819, 3571, 15347, 63987], [1, 7, 35, 158, 672, 2773, 11273, 45465]),
+    (1, 2, 3, 5): ([1, 13, 130, 1318, 12415, 114232], [1, 13, 130, 1214, 11063, 99984]),
+    (1, 1, 7, 6): ([1, 8, 57, 449, 3193, 22401, 159258], [1, 8, 57, 401, 2809, 19665, 137658]),
+    (1, 1, 2, 2): ([1, 3, 7], [1, 3, 7]),
+    (1, 1, 2, 3): ([1, 3, 7, 19], [1, 3, 7, 16]),
+    (2, 1, 2, 3): ([1, 3, 7, 19], [1, 3, 7, 16]),
+}
+
+
+@pytest.mark.parametrize("m,n,p,upto", sorted(PINNED_COUNTS))
+def test_dirichlet_counts_pinned(m, n, p, upto):
+    ideal, graded = PINNED_COUNTS[(m, n, p, upto)]
+    assert dirichlet_counts(build_structure(m, n), p, upto) == (ideal, graded)
 
 
 def test_verify_dirichlet_grenham():
