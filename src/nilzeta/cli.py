@@ -17,7 +17,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .combinat import lie_dims
+from .combinat import lie_dims, require_prime
 from .igusa import IgusaData, igusa_middle, igusa_permutation, igusa_subset
 from .laurent import LaurentPoly, format_terms, poly_text
 from .liering import (
@@ -230,35 +230,6 @@ def render_report(report: ZetaReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-# Miller-Rabin with the first 13 primes as bases is exact below PRIME_BOUND.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_BOUND = 3317044064679887385961981
-
-
-def _is_prime(p: int) -> bool:
-    """Deterministic primality test for p < PRIME_BOUND."""
-    if p < 2:
-        return False
-    for base in _PRIME_BASES:
-        if p % base == 0:
-            return p == base
-    odd, twos = p - 1, 0
-    while odd % 2 == 0:
-        odd //= 2
-        twos += 1
-    for base in _PRIME_BASES:
-        x = pow(base, odd, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _check_igusa(m: int, n: int, seed: int) -> bool:
     nd = numerical_data(m, n)
     datasets = [IgusaData(n=n, y_qexp=-1, x=tuple((nd.a[n - j], nd.b[n - j]) for j in range(1, n + 1)))]
@@ -438,10 +409,10 @@ def main(argv=None) -> int:
     if args.m < 1 or args.n < 1:
         parser.error("m and n must be positive")
     if getattr(args, "prime", None) is not None:
-        if args.prime >= PRIME_BOUND:
-            parser.error(f"--prime must be below {PRIME_BOUND}")
-        if not _is_prime(args.prime):
-            parser.error(f"{args.prime} is not prime")
+        try:
+            require_prime(args.prime)
+        except ValueError as exc:
+            parser.error(f"--prime: {exc}")
     if getattr(args, "upto", None) is not None and args.upto < 0:
         parser.error("--upto must be nonnegative")
     if args.verb == "verify":

@@ -1,4 +1,5 @@
-"""Permutation statistics, Gaussian q-binomials, and ordered composition sets.
+"""Permutation statistics, Gaussian q-binomials, ordered composition sets,
+and a deterministic primality test.
 
 Permutations of [n] are one-line tuples; the length statistic is the
 inversion count and descents are the positions i in [n-1] with
@@ -126,6 +127,41 @@ def compositions_revlex(total: int, n: int) -> list[tuple[int, ...]]:
 
     rec((), total, n)
     return out
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_BOUND.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic primality test for p < PRIME_BOUND."""
+    if p < 2:
+        return False
+    for base in _PRIME_BASES:
+        if p % base == 0:
+            return p == base
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in _PRIME_BASES:
+        x = pow(base, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below PRIME_BOUND."""
+    if not (p < PRIME_BOUND and is_prime(p)):
+        raise ValueError(f"p must be a prime below {PRIME_BOUND}, got {p}")
 
 
 @dataclass(frozen=True)

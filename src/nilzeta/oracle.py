@@ -16,6 +16,28 @@ over (U, T) pairs and multiplies by the number of R blocks; the literal
 full-rank enumeration is kept alongside as count_ideals_naive and the two
 are compared in the test suite.
 
+Two exact reductions keep the (U, T) sum small.  Write kU, kT for the
+index exponents of U and T, K for the largest index exponent wanted, and
+r = K - kU for the tail budget of U.
+
+- Residues.  A tail T of index p^kT contains p^kT Z^n, hence p^r Z^n for
+  every kT <= r.  So "M is inside T", for M the lattice spanned by the
+  brackets of U's rows, depends only on M + p^r Z^n.  The brackets are
+  linear in U's entries, so only those entries modulo p^r matter,
+  diagonal included.  Column j of an HNF with diagonal p^k_j has j free
+  entries in range(p^k_j); modulo p^r each takes min(p^k_j, p^r) values,
+  every one of them hit p^(k_j - r) times when k_j > r.  Enumerating the
+  residues and weighting each by the product of those hit counts gives the
+  same sums as enumerating U itself (u_residue_visits counts the residue
+  tuples).
+- Classes.  Residue tuples are tallied per key (r, the set of their
+  nonzero bracket vectors modulo p^r).  The key determines M + p^r Z^n,
+  whose Hermite normal form is computed once per key; the tallies are then
+  merged per (r, that normal form).  The number of tails of each index
+  kT <= r that contain M is a function of (r, M + p^r Z^n) alone, so the
+  tail tests run once per merged class, inside one call, and are multiplied
+  by the class's tally.  Nothing is cached across calls.
+
 All randomized checks take an explicit seed; enumeration works over Z with
 exact integers and explicit modular reduction, never over floats.
 """
@@ -23,13 +45,12 @@ exact integers and explicit modular reduction, never over floats.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterator
 
-from .combinat import compositions_revlex, e_count, gaussian_multinomial, lie_dims
+from .combinat import compositions_revlex, e_count, gaussian_multinomial, lie_dims, require_prime
 from .liering import LieStructure, build_structure, full_commutator_matrix, specialize
 from .rational import rf_series_coeffs
 from .zetas import graded_ideal_zeta, ideal_zeta
@@ -38,11 +59,12 @@ DEFAULT_CEILING = 10**8
 
 
 class CeilingExceededError(RuntimeError):
-    """The estimated enumeration size exceeds the configured ceiling."""
+    """The enumeration size (U residue tuples to visit) exceeds the
+    configured ceiling."""
 
     def __init__(self, estimate: int, ceiling: int):
         super().__init__(
-            f"estimated enumeration size {estimate} exceeds the ceiling {ceiling}"
+            f"enumerating {estimate} U residue tuples exceeds the ceiling {ceiling}"
         )
         self.estimate = estimate
         self.ceiling = ceiling
@@ -186,6 +208,64 @@ def _lattice_basis(vectors, n: int) -> list[tuple[int, ...]]:
     return [tuple(pivots[j]) for j in sorted(pivots)]
 
 
+def _u_diagonals(d: int, upto: int) -> list[tuple[int, ...]]:
+    """Diagonal compositions of the non-central block with kU < upto."""
+    return [c for ku in range(upto) for c in compositions_revlex(ku, d)[::-1]]
+
+
+def _residue_visits(comp, p: int, upto: int) -> int:
+    """Number of U residue tuples that the enumeration visits for the
+    diagonal (p^k for k in comp): prod_j min(p^k_j, p^r)^j with
+    r = upto - kU, or 0 when kU >= upto."""
+    r = upto - sum(comp)
+    if r <= 0:
+        return 0
+    size = 1
+    for j, kj in enumerate(comp):
+        size *= p ** (min(kj, r) * j)
+    return size
+
+
+def u_residue_visits(d: int, p: int, upto: int) -> int:
+    """Exact number of U residue tuples dirichlet_counts visits: the sum of
+    _residue_visits over every diagonal with kU < upto."""
+    return sum(_residue_visits(c, p, upto) for c in _u_diagonals(d, upto))
+
+
+def _row_residue_sets(tables, n: int, comp, p: int, modulus: int) -> list[list[frozenset]]:
+    """For each row i of an HNF with diagonal (p^k for k in comp), one entry
+    per residue of the row's free entries modulo `modulus`: the set of the
+    row's nonzero bracket vectors reduced modulo `modulus`."""
+    dim = len(comp)
+    diag = [p**ki for ki in comp]
+    rows = []
+    for i in range(dim):
+        head = [0] * i + [diag[i] % modulus]
+        sets = []
+        for free in iproduct(*(range(min(diag[j], modulus)) for j in range(i + 1, dim))):
+            reduced = (tuple(x % modulus for x in v)
+                       for v in _bracket_vectors(tables, n, head + list(free)))
+            sets.append(frozenset(v for v in reduced if any(v)))
+        rows.append(sets)
+    return rows
+
+
+def _hnf_mod(vectors, n: int, modulus: int) -> tuple[tuple[int, ...], ...]:
+    """The Hermite normal form of the lattice spanned by `vectors` and
+    modulus * Z^n: upper triangular, positive diagonal, every entry above
+    the diagonal reduced modulo the diagonal entry of its column."""
+    spanning = list(vectors) + [tuple(modulus if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = [list(v) for v in _lattice_basis(spanning, n)]
+    for i in range(n):
+        if rows[i][i] < 0:
+            rows[i] = [-x for x in rows[i]]
+        for k in range(i):
+            c = rows[k][i] // rows[i][i]
+            if c:
+                rows[k] = [a - c * b for a, b in zip(rows[k], rows[i])]
+    return tuple(tuple(row) for row in rows)
+
+
 def _counts_for_diagonals(bracket_triples, d: int, n: int, e: int, p: int, big_k: int,
                           diagonals) -> tuple[list[int], list[int]]:
     """Materialized part of the (U, T) sum for the given U diagonals.
@@ -193,25 +273,35 @@ def _counts_for_diagonals(bracket_triples, d: int, n: int, e: int, p: int, big_k
     Returns partial ideal and graded count vectors covering tail indices
     kT >= 1; the tail-free term is closed-form and added by the caller.
     """
-    struct_tables = _bracket_tables(bracket_triples, d, e)
-    tails: dict[int, list] = {
-        kt: [t.matrix for t in hnf_enumerate(n, p, kt)] for kt in range(1, big_k + 1)
-    }
+    tables = _bracket_tables(bracket_triples, d, e)
+    classes: dict[int, dict[frozenset, int]] = {}
+    for comp in diagonals:
+        r = big_k - sum(comp)
+        if r <= 0:
+            continue
+        lifts = p ** sum(j * max(kj - r, 0) for j, kj in enumerate(comp))
+        # Row 0 has the most residues, so it is the inner loop.
+        first, *rest = _row_residue_sets(tables, n, comp, p, p**r)
+        tally = classes.setdefault(r, {})
+        for others in iproduct(*rest):
+            prefix = frozenset().union(*others)
+            for row_set in first:
+                key = prefix | row_set
+                tally[key] = tally.get(key, 0) + lifts
+    lattices: dict[tuple[int, tuple], int] = {}
+    for r, tally in classes.items():
+        for vectors, weight in tally.items():
+            key = (r, _hnf_mod(vectors, n, p**r))
+            lattices[key] = lattices.get(key, 0) + weight
+    top = max((r for r, _ in lattices), default=0)
+    tails = {kt: [t.matrix for t in hnf_enumerate(n, p, kt)] for kt in range(1, top + 1)}
     ideal = [0] * (big_k + 1)
     graded = [0] * (big_k + 1)
-    for comp in diagonals:
-        ku = sum(comp)
-        if ku >= big_k:
-            continue
-        for rows in _hnf_rows(comp, p):
-            vectors = [v for row in rows for v in _bracket_vectors(struct_tables, n, row)]
-            basis = _lattice_basis(vectors, n)
-            for kt in range(1, big_k - ku + 1):
-                weight = p ** (d * kt)
-                for tmat in tails[kt]:
-                    if all(hnf_contains(tmat, v) for v in basis):
-                        ideal[ku + kt] += weight
-                        graded[ku + kt] += 1
+    for (r, basis), weight in lattices.items():
+        for kt in range(1, r + 1):
+            hits = sum(1 for tmat in tails[kt] if all(hnf_contains(tmat, v) for v in basis))
+            graded[big_k - r + kt] += weight * hits
+            ideal[big_k - r + kt] += weight * hits * p ** (d * kt)
     return ideal, graded
 
 
@@ -219,25 +309,40 @@ def _count_worker(payload):
     return _counts_for_diagonals(*payload)
 
 
+def _balanced_chunks(diagonals, weights, parts: int) -> list[list]:
+    """Greedy longest-first split of `diagonals` into at most `parts`
+    nonempty chunks with near-equal total weight."""
+    loads = [0] * parts
+    chunks: list[list] = [[] for _ in range(parts)]
+    for w, comp in sorted(zip(weights, diagonals), key=lambda wc: -wc[0]):
+        i = loads.index(min(loads))
+        loads[i] += w
+        chunks[i].append(comp)
+    return [c for c in chunks if c]
+
+
 def dirichlet_counts(struct: LieStructure, p: int, upto: int,
                      threads: int = 1) -> tuple[list[int], list[int]]:
     """Ideal and graded-ideal counts for indices p^0 .. p^upto.
 
     Work is partitioned by the diagonal composition of the non-central
-    block; totals are sums of integers, so they do not depend on the
-    partitioning.
+    block, each diagonal weighted by its _residue_visits; totals are sums of
+    integers, so they do not depend on the partitioning.
     """
+    require_prime(p)
     d, n, e = struct.dims.d, struct.dims.n, struct.dims.e
     ideal = [hnf_count(d, p, k) for k in range(upto + 1)]
     graded = list(ideal)
-    diagonals = [c for ku in range(upto) for c in compositions_revlex(ku, d)[::-1]]
+    diagonals = _u_diagonals(d, upto)
     if threads > 1 and len(diagonals) > 1:
-        chunks = [diagonals[i::threads] for i in range(threads)]
-        chunks = [c for c in chunks if c]
+        from concurrent.futures import ProcessPoolExecutor
+
+        weights = [_residue_visits(c, p, upto) for c in diagonals]
         payloads = [
-            (struct.brackets, d, n, e, p, upto, chunk) for chunk in chunks
+            (struct.brackets, d, n, e, p, upto, chunk)
+            for chunk in _balanced_chunks(diagonals, weights, threads)
         ]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             parts = list(pool.map(_count_worker, payloads))
     else:
         parts = [
@@ -536,10 +641,10 @@ def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
                      ceiling: int | None = None, threads: int = 1) -> list[VerifyRecord]:
     """Compare series coefficients of the closed form at q = p against the
     enumeration counts for indices p^0 .. p^upto."""
+    require_prime(p)
     if ceiling is None:
         ceiling = DEFAULT_CEILING
-    dims = lie_dims(m, n)
-    estimate = p ** (upto * (dims.h - 1))
+    estimate = u_residue_visits(lie_dims(m, n).d, p, upto)
     if estimate > ceiling:
         raise CeilingExceededError(estimate, ceiling)
     zeta = graded_ideal_zeta(m, n) if graded else ideal_zeta(m, n)

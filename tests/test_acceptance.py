@@ -74,6 +74,9 @@ def test_criterion_03_oracle_concordance_ideal():
         (1, 2, 3, 4),
         (2, 2, 2, 4),
         (1, 3, 2, 3),
+        (2, 2, 2, 5),
+        (2, 2, 3, 4),
+        (2, 3, 2, 2),
     ]
     ok = True
     for m, n, p, upto in configs:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from nilzeta.cli import PRIME_BOUND, _is_prime, main
+from nilzeta.cli import main
+from nilzeta.combinat import PRIME_BOUND, is_prime
 from nilzeta.rational import rational_dumps, rational_loads
 from nilzeta.zetas import ideal_zeta
 
@@ -179,7 +180,7 @@ def test_is_prime_matches_trial_division():
     def trial(p):
         return p >= 2 and all(p % f for f in range(2, int(p**0.5) + 1))
 
-    assert [p for p in range(-3, 5000) if _is_prime(p)] == [p for p in range(-3, 5000) if trial(p)]
+    assert [p for p in range(-3, 5000) if is_prime(p)] == [p for p in range(-3, 5000) if trial(p)]
 
 
 @pytest.mark.parametrize(
@@ -195,7 +196,7 @@ def test_is_prime_matches_trial_division():
     ],
 )
 def test_is_prime_large(p, prime):
-    assert _is_prime(p) is prime
+    assert is_prime(p) is prime
 
 
 def test_coeffs_large_prime(capsys):

@@ -1,14 +1,21 @@
 """Enumeration oracles: HNF counts, ideal counts, census, SNF checks."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
+from nilzeta.combinat import PRIME_BOUND, compositions_revlex
 from nilzeta.liering import abelian_structure, build_structure
 from nilzeta.oracle import (
     CeilingExceededError,
     HnfBasis,
     LatticeType,
+    _balanced_chunks,
+    _bracket_tables,
+    _residue_visits,
+    _row_residue_sets,
     congruence_index_check,
     count_graded_ideals,
     count_graded_ideals_naive,
@@ -23,6 +30,7 @@ from nilzeta.oracle import (
     sample_antidiagonal,
     snf_valuations,
     type_from_valuations,
+    u_residue_visits,
     verify_dirichlet,
 )
 from nilzeta.rational import rf_series_coeffs
@@ -143,6 +151,69 @@ def test_dirichlet_counts_pinned(m, n, p, upto):
     assert dirichlet_counts(build_structure(m, n), p, upto) == (ideal, graded)
 
 
+@pytest.mark.parametrize(
+    "m,n,p,upto,visits",
+    [(2, 2, 2, 4, 2574), (1, 3, 2, 5, 1715), (2, 2, 2, 5, 14819), (2, 3, 2, 3, 87893)],
+)
+def test_u_residue_visits_values(m, n, p, upto, visits):
+    assert u_residue_visits(build_structure(m, n).dims.d, p, upto) == visits
+
+
+@pytest.mark.parametrize("m,n,p,upto", [(1, 1, 2, 4), (1, 2, 2, 3), (1, 2, 3, 2), (2, 2, 2, 2)])
+def test_u_residue_visits_counts_the_kernel_loop(m, n, p, upto):
+    struct = build_structure(m, n)
+    d = struct.dims.d
+    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
+    loop = 0
+    residues = set()
+    for ku in range(upto):
+        modulus = p ** (upto - ku)
+        for comp in compositions_revlex(ku, d):
+            size = 1
+            for row in _row_residue_sets(tables, struct.dims.n, comp, p, modulus):
+                size *= len(row)
+            loop += size
+        # independently: distinct (diagonal, entries mod p^r) over all HNFs
+        for basis in hnf_enumerate(d, p, ku):
+            diagonal = tuple(basis.matrix[i][i] for i in range(d))
+            residues.add((diagonal, tuple(tuple(x % modulus for x in row) for row in basis.matrix)))
+    assert loop == len(residues) == u_residue_visits(d, p, upto)
+    lifted = sum(
+        _residue_visits(comp, p, upto)
+        * p ** sum(j * max(kj - (upto - ku), 0) for j, kj in enumerate(comp))
+        for ku in range(upto)
+        for comp in compositions_revlex(ku, d)
+    )
+    assert lifted == sum(hnf_count(d, p, ku) for ku in range(upto))
+
+
+def test_balanced_chunks_longest_first():
+    diagonals = ["a", "b", "c", "d", "e"]
+    chunks = _balanced_chunks(diagonals, [5, 4, 3, 3, 1], 2)
+    assert chunks == [["a", "d"], ["b", "c", "e"]]
+    assert _balanced_chunks(["a"], [7], 3) == [["a"]]
+
+
+@pytest.mark.parametrize("q", [4, 6, 9, 1, PRIME_BOUND])
+def test_oracle_refuses_non_prime(q):
+    struct = build_structure(1, 1)
+    with pytest.raises(ValueError):
+        verify_dirichlet(1, 1, q, 2 if q < 10 else 0)
+    with pytest.raises(ValueError):
+        dirichlet_counts(struct, q, 2 if q < 10 else 0)
+    with pytest.raises(ValueError):
+        count_ideals(struct, q, 1 if q < 10 else 0)
+    with pytest.raises(ValueError):
+        count_graded_ideals(struct, q, 1 if q < 10 else 0)
+
+
+def test_import_leaves_process_pool_unloaded():
+    code = "import sys, nilzeta; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_verify_dirichlet_grenham():
     records = verify_dirichlet(1, 2, 2, 4)
     assert [(r.k, r.oracle) for r in records] == [(0, 1), (1, 7), (2, 35), (3, 179), (4, 819)]
@@ -159,7 +230,7 @@ def test_verify_dirichlet_graded():
 def test_verify_dirichlet_ceiling():
     with pytest.raises(CeilingExceededError) as err:
         verify_dirichlet(2, 3, 2, 6, ceiling=10**6)
-    assert err.value.estimate == 2 ** (6 * 11)
+    assert err.value.estimate == 8464431688
 
 
 def test_snf_valuations_examples():
