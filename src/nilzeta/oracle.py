@@ -59,12 +59,12 @@ DEFAULT_CEILING = 10**8
 
 
 class CeilingExceededError(RuntimeError):
-    """The enumeration size (U residue tuples to visit) exceeds the
-    configured ceiling."""
+    """The enumeration size (see enumeration_size) exceeds the configured
+    ceiling."""
 
     def __init__(self, estimate: int, ceiling: int):
         super().__init__(
-            f"enumerating {estimate} U residue tuples exceeds the ceiling {ceiling}"
+            f"enumeration size {estimate} exceeds the ceiling {ceiling}"
         )
         self.estimate = estimate
         self.ceiling = ceiling
@@ -232,6 +232,22 @@ def u_residue_visits(d: int, p: int, upto: int) -> int:
     return sum(_residue_visits(c, p, upto) for c in _u_diagonals(d, upto))
 
 
+def enumeration_size(d: int, n: int, p: int, upto: int) -> int:
+    """Bound on the loop iterations of dirichlet_counts: every U residue
+    tuple, each counted with the tails of index p^kT, kT <= upto - kU, that
+    it could be tested against.
+
+    A class is first reached by at least one residue tuple, and every tail
+    is generated once and tested against the classes whose budget covers
+    it, so the tail loop never runs more often than the second term; the
+    kU = 0 tuple alone accounts for generating every tail.
+    """
+    tails = [1]
+    for kt in range(1, upto + 1):
+        tails.append(tails[-1] + hnf_count(n, p, kt))
+    return sum(_residue_visits(c, p, upto) * tails[upto - sum(c)] for c in _u_diagonals(d, upto))
+
+
 def _row_residue_sets(tables, n: int, comp, p: int, modulus: int) -> list[list[frozenset]]:
     """For each row i of an HNF with diagonal (p^k for k in comp), one entry
     per residue of the row's free entries modulo `modulus`: the set of the
@@ -293,15 +309,19 @@ def _counts_for_diagonals(bracket_triples, d: int, n: int, e: int, p: int, big_k
         for vectors, weight in tally.items():
             key = (r, _hnf_mod(vectors, n, p**r))
             lattices[key] = lattices.get(key, 0) + weight
-    top = max((r for r, _ in lattices), default=0)
-    tails = {kt: [t.matrix for t in hnf_enumerate(n, p, kt)] for kt in range(1, top + 1)}
     ideal = [0] * (big_k + 1)
     graded = [0] * (big_k + 1)
-    for (r, basis), weight in lattices.items():
-        for kt in range(1, r + 1):
-            hits = sum(1 for tmat in tails[kt] if all(hnf_contains(tmat, v) for v in basis))
-            graded[big_k - r + kt] += weight * hits
-            ideal[big_k - r + kt] += weight * hits * p ** (d * kt)
+    top = max((r for r, _ in lattices), default=0)
+    for kt in range(1, top + 1):
+        scale = p ** (d * kt)
+        live = [(big_k - r + kt, basis, weight) for (r, basis), weight in lattices.items() if r >= kt]
+        # Tails are generated, not stored: memory stays proportional to the
+        # number of classes however many tails there are.
+        for tail in hnf_enumerate(n, p, kt):
+            for k, basis, weight in live:
+                if all(hnf_contains(tail.matrix, v) for v in basis):
+                    graded[k] += weight
+                    ideal[k] += weight * scale
     return ideal, graded
 
 
@@ -640,11 +660,15 @@ class VerifyRecord:
 def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
                      ceiling: int | None = None, threads: int = 1) -> list[VerifyRecord]:
     """Compare series coefficients of the closed form at q = p against the
-    enumeration counts for indices p^0 .. p^upto."""
+    enumeration counts for indices p^0 .. p^upto.
+
+    Raises ValueError unless p is prime, and CeilingExceededError when
+    enumeration_size exceeds the ceiling, before any work starts."""
     require_prime(p)
     if ceiling is None:
         ceiling = DEFAULT_CEILING
-    estimate = u_residue_visits(lie_dims(m, n).d, p, upto)
+    dims = lie_dims(m, n)
+    estimate = enumeration_size(dims.d, dims.n, p, upto)
     if estimate > ceiling:
         raise CeilingExceededError(estimate, ceiling)
     zeta = graded_ideal_zeta(m, n) if graded else ideal_zeta(m, n)

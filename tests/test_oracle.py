@@ -22,6 +22,7 @@ from nilzeta.oracle import (
     count_ideals,
     count_ideals_naive,
     dirichlet_counts,
+    enumeration_size,
     hnf_contains,
     hnf_count,
     hnf_enumerate,
@@ -230,7 +231,15 @@ def test_verify_dirichlet_graded():
 def test_verify_dirichlet_ceiling():
     with pytest.raises(CeilingExceededError) as err:
         verify_dirichlet(2, 3, 2, 6, ceiling=10**6)
-    assert err.value.estimate == 8464431688
+    assert err.value.estimate == 222398229281
+
+
+def test_verify_dirichlet_ceiling_counts_tails():
+    # 131072 U residue tuples, but about 2.9e9 tail lattices of index <= 4 in Z^16
+    assert u_residue_visits(17, 2, 2) == 131072
+    with pytest.raises(CeilingExceededError) as err:
+        verify_dirichlet(1, 16, 2, 2)
+    assert err.value.estimate == enumeration_size(17, 16, 2, 2) > 10**10
 
 
 def test_snf_valuations_examples():
