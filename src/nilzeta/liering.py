@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import LieDims, compositions_revlex, e_count, lie_dims
+from .combinat import LieDims, compositions_revlex, e_count, lie_dims, require_prime
+from .zlinalg import _smith
 
 
 @dataclass(frozen=True)
@@ -170,27 +171,9 @@ def specialize(mat: LinearFormMatrix, y, modulus: int | None = None) -> list[lis
 
 
 def rank_mod(matrix: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p by in-place modular elimination."""
-    rows = [[v % p for v in row] for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over F_p, the number of unit elementary divisors; p must be prime."""
+    require_prime(p)
+    return _smith(matrix, p, 1).count(0)
 
 
 def render_linear_matrix(mat: LinearFormMatrix) -> str:

@@ -38,6 +38,8 @@ r = K - kU for the tail budget of U.
   tail tests run once per merged class, inside one call, and are multiplied
   by the class's tally.  Nothing is cached across calls.
 
+Smith valuations and the classes' Hermite forms modulo p^r come from the
+one p-local elimination in zlinalg, which snf_valuations is imported from.
 All randomized checks take an explicit seed; enumeration works over Z with
 exact integers and explicit modular reduction, never over floats.
 """
@@ -53,6 +55,7 @@ from typing import Iterator
 from .combinat import compositions_revlex, e_count, gaussian_multinomial, lie_dims, require_prime
 from .liering import LieStructure, build_structure, full_commutator_matrix, specialize
 from .rational import rf_series_coeffs
+from .zlinalg import hnf_mod, snf_valuations
 from .zetas import graded_ideal_zeta, ideal_zeta
 
 DEFAULT_CEILING = 10**8
@@ -170,44 +173,6 @@ def _bracket_vectors(tables, n: int, u) -> list[tuple[int, ...]]:
     return out
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
-
-
-def _lattice_basis(vectors, n: int) -> list[tuple[int, ...]]:
-    """Triangular basis of the lattice spanned by the given row vectors."""
-    pivots: dict[int, list[int]] = {}
-    for vec in vectors:
-        v = list(vec)
-        for j in range(n):
-            if not v[j]:
-                continue
-            if j not in pivots:
-                pivots[j] = v
-                break
-            pivot = pivots[j]
-            if v[j] % pivot[j] == 0:
-                c = v[j] // pivot[j]
-                v = [a - c * b for a, b in zip(v, pivot)]
-            else:
-                g, x, y = _extended_gcd(pivot[j], v[j])
-                combined = [x * a + y * b for a, b in zip(pivot, v)]
-                reduced = [
-                    (pivot[j] // g) * b - (v[j] // g) * a for a, b in zip(pivot, v)
-                ]
-                pivots[j] = combined
-                v = reduced
-    return [tuple(pivots[j]) for j in sorted(pivots)]
-
-
 def _u_diagonals(d: int, upto: int) -> list[tuple[int, ...]]:
     """Diagonal compositions of the non-central block with kU < upto."""
     return [c for ku in range(upto) for c in compositions_revlex(ku, d)[::-1]]
@@ -266,22 +231,6 @@ def _row_residue_sets(tables, n: int, comp, p: int, modulus: int) -> list[list[f
     return rows
 
 
-def _hnf_mod(vectors, n: int, modulus: int) -> tuple[tuple[int, ...], ...]:
-    """The Hermite normal form of the lattice spanned by `vectors` and
-    modulus * Z^n: upper triangular, positive diagonal, every entry above
-    the diagonal reduced modulo the diagonal entry of its column."""
-    spanning = list(vectors) + [tuple(modulus if j == i else 0 for j in range(n)) for i in range(n)]
-    rows = [list(v) for v in _lattice_basis(spanning, n)]
-    for i in range(n):
-        if rows[i][i] < 0:
-            rows[i] = [-x for x in rows[i]]
-        for k in range(i):
-            c = rows[k][i] // rows[i][i]
-            if c:
-                rows[k] = [a - c * b for a, b in zip(rows[k], rows[i])]
-    return tuple(tuple(row) for row in rows)
-
-
 def _counts_for_diagonals(bracket_triples, d: int, n: int, e: int, p: int, big_k: int,
                           diagonals) -> tuple[list[int], list[int]]:
     """Materialized part of the (U, T) sum for the given U diagonals.
@@ -307,7 +256,7 @@ def _counts_for_diagonals(bracket_triples, d: int, n: int, e: int, p: int, big_k
     lattices: dict[tuple[int, tuple], int] = {}
     for r, tally in classes.items():
         for vectors, weight in tally.items():
-            key = (r, _hnf_mod(vectors, n, p**r))
+            key = (r, hnf_mod(vectors, n, p, r))
             lattices[key] = lattices.get(key, 0) + weight
     ideal = [0] * (big_k + 1)
     graded = [0] * (big_k + 1)
@@ -466,76 +415,6 @@ def type_from_valuations(vals) -> LatticeType:
     return LatticeType(positions=tuple(positions), jumps=tuple(jumps))
 
 
-def snf_valuations(mat, p: int) -> tuple[tuple[int, ...], int]:
-    """p-adic valuations of the nonzero elementary divisors (ascending),
-    plus the number of zero divisors.
-
-    Exact integer diagonalization; the divisibility chain is not enforced
-    since sorting the diagonal valuations gives the elementary-divisor
-    valuations directly.
-    """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    a = [list(row) for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    slots = min(nrows, ncols)
-    diag: list[int] = []
-    top = 0
-    while top < slots:
-        pivot = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        while True:
-            i0, j0 = pivot
-            if i0 != top:
-                a[top], a[i0] = a[i0], a[top]
-            if j0 != top:
-                for row in a:
-                    row[top], row[j0] = row[j0], row[top]
-            dirty = False
-            for i in range(top + 1, nrows):
-                if a[i][top]:
-                    c = a[i][top] // a[top][top]
-                    a[i] = [x - c * y for x, y in zip(a[i], a[top])]
-                    if a[i][top]:
-                        dirty = True
-            for j in range(top + 1, ncols):
-                if a[top][j]:
-                    c = a[top][j] // a[top][top]
-                    for row in a:
-                        row[j] -= c * row[top]
-                    if a[top][j]:
-                        dirty = True
-            if not dirty:
-                break
-            pivot = None
-            best = None
-            for i in range(top, nrows):
-                for j in range(top, ncols):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best):
-                        best = v
-                        pivot = (i, j)
-        diag.append(abs(a[top][top]))
-        top += 1
-    vals = []
-    for dvalue in diag:
-        v = 0
-        while dvalue % p == 0:
-            dvalue //= p
-            v += 1
-        vals.append(v)
-    return tuple(sorted(vals)), slots - len(diag)
-
-
 def maximal_lattice_census(n: int, p: int, rmax: int) -> dict[LatticeType, int]:
     """Census of maximal sublattices of Z^n by elementary-divisor type.
 
@@ -551,9 +430,9 @@ def maximal_lattice_census(n: int, p: int, rmax: int) -> dict[LatticeType, int]:
     counts: dict[LatticeType, int] = {}
     for k in range(bound + 1):
         for basis in hnf_enumerate(n, p, k):
-            vals, zero = snf_valuations(basis.matrix, p)
-            if zero:
-                raise AssertionError("full-rank basis produced a zero divisor")
+            vals = snf_valuations(basis.matrix, p, k + 1)
+            if vals[-1] > k:
+                raise AssertionError("index-p^k basis produced a divisor beyond p^k")
             if vals[0] != 0:
                 continue
             lattice_type = type_from_valuations(vals)
@@ -621,7 +500,8 @@ def congruence_index_check(m: int, n: int, lattice_type: LatticeType, p: int,
         block = specialize(commutator, rep.column(j - 1))
         blocks.append([[scale * v for v in row] for row in block])
     concat = [sum((blocks[j][i] for j in range(n)), []) for i in range(dims.d)]
-    vals, _ = snf_valuations(concat, p)
+    # Valuations >= r add nothing to the index; the trivial type (r = 0) uses 1.
+    vals = snf_valuations(concat, p, max(r, 1))
     log_index = sum(max(r - v, 0) for v in vals)
     expected = sum(
         jump * (dims.e + sum(e_count(m, j) for j in range(pos + 1, n + 1)))
@@ -633,6 +513,7 @@ def congruence_index_check(m: int, n: int, lattice_type: LatticeType, p: int,
 def rep_matrix_check(m: int, n: int, p: int, precision: int, seed: int) -> bool:
     """Check the Smith form of the commutator matrix at a primitive point:
     2e unit divisors, everything else zero to the working precision."""
+    require_prime(p)
     if precision < 1:
         raise ValueError("precision must be positive")
     dims = lie_dims(m, n)
@@ -643,10 +524,8 @@ def rep_matrix_check(m: int, n: int, p: int, precision: int, seed: int) -> bool:
         if any(v % p for v in y):
             break
     mat = specialize(full_commutator_matrix(m, n), y, modulus=modulus)
-    vals, _ = snf_valuations(mat, p)
-    units = sum(1 for v in vals if v == 0)
-    rest_big = all(v >= precision for v in vals if v)
-    return units == 2 * dims.e and rest_big
+    vals = snf_valuations(mat, p, precision)
+    return vals == (0,) * (2 * dims.e) + (precision,) * (dims.d - 2 * dims.e)
 
 
 @dataclass(frozen=True)

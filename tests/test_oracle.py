@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from nilzeta.combinat import PRIME_BOUND, compositions_revlex
-from nilzeta.liering import abelian_structure, build_structure
+from nilzeta.liering import abelian_structure, build_structure, rank_mod
 from nilzeta.oracle import (
     CeilingExceededError,
     HnfBasis,
@@ -243,23 +243,23 @@ def test_verify_dirichlet_ceiling_counts_tails():
 
 
 def test_snf_valuations_examples():
-    assert snf_valuations([[1, 0], [0, 1]], 2) == ((0, 0), 0)
-    assert snf_valuations([[1, 0, 0], [0, 2, 0], [0, 0, 4]], 2) == ((0, 1, 2), 0)
-    # border matrix at a primitive vector: rank 2 with unit divisors
-    assert snf_valuations([[0, -1, 0], [1, 0, 0], [0, 0, 0]], 3) == ((0, 0), 1)
+    assert snf_valuations([[1, 0], [0, 1]], 2, 5) == (0, 0)
+    assert snf_valuations([[1, 0, 0], [0, 2, 0], [0, 0, 4]], 2, 5) == (0, 1, 2)
+    # border matrix at a primitive vector: rank 2 with unit divisors, and one
+    # zero divisor, which reads as the precision
+    assert snf_valuations([[0, -1, 0], [1, 0, 0], [0, 0, 0]], 3, 5) == (0, 0, 5)
 
 
 def test_snf_valuations_needs_combination():
     # entries with no pivot dividing its row/column force gcd steps
-    vals, zero = snf_valuations([[4, 6], [6, 4]], 2)
-    assert zero == 0
-    assert vals == (1, 1)  # divisors 2 and 10 up to units
+    vals = snf_valuations([[4, 6], [6, 4]], 2, 5)
+    assert vals == (1, 1)  # divisors 2 and 10 up to units; none is zero
 
 
 @pytest.mark.parametrize("p", [1, 0, -3])
 def test_snf_valuations_rejects_p_below_two(p):
     with pytest.raises(ValueError):
-        snf_valuations([[2]], p)
+        snf_valuations([[2]], p, 1)
 
 
 @pytest.mark.parametrize("p", [1, 0, -3])
@@ -269,9 +269,8 @@ def test_index_exponent_rejects_p_below_two(p):
 
 
 def test_snf_valuations_rectangular():
-    vals, zero = snf_valuations([[2, 0, 0, 4], [0, 3, 0, 6]], 2)
-    assert zero == 0
-    assert vals == (0, 1)
+    vals = snf_valuations([[2, 0, 0, 4], [0, 3, 0, 6]], 2, 3)
+    assert vals == (0, 1)  # no zero divisor: no entry equals the precision
 
 
 def test_lattice_type_helpers():
@@ -314,7 +313,7 @@ def test_census_totals_against_direct_maximality(n, p):
         direct = 0
         truncated = 0
         for basis in hnf_enumerate(n, p, k):
-            vals, _ = snf_valuations(basis.matrix, p)
+            vals = snf_valuations(basis.matrix, p, k + 1)
             if vals[0] != 0:
                 continue
             direct += 1
@@ -364,6 +363,25 @@ def test_rep_matrix_check_examples():
         assert rep_matrix_check(1, 2, 3, 2, seed)
     for seed in range(50):
         assert rep_matrix_check(2, 3, 2, 3, seed)
+
+
+@pytest.mark.parametrize("p", [4, 6, 9])
+def test_smith_checks_refuse_non_prime(p):
+    # composite p used to give an answer: rank_mod([[1]], 6) was 1
+    with pytest.raises(ValueError):
+        rank_mod([[1]], p)
+    with pytest.raises(ValueError):
+        congruence_index_check(2, 3, LatticeType((1,), (1,)), p, 1)
+    with pytest.raises(ValueError):
+        rep_matrix_check(1, 2, p, 2, 1)
+
+
+def test_smith_checks_refuse_p_one():
+    # rep_matrix_check looped forever looking for a y with a unit entry mod 1
+    with pytest.raises(ValueError):
+        rep_matrix_check(1, 2, 1, 2, 1)
+    with pytest.raises(ValueError):
+        rank_mod([[1]], 1)
 
 
 def test_ideal_series_matches_formula_more_pairs():
