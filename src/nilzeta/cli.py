@@ -301,6 +301,9 @@ def _run_check(args) -> int:
     if unknown:
         print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
+    if not suites:
+        print("no suite given", file=sys.stderr)
+        return 2
     all_ok = True
     for suite in suites:
         if suite == "funceq":

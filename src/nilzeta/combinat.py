@@ -38,59 +38,30 @@ def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def poly_exact_div(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact polynomial long division; raises if a remainder is left."""
-    rem = list(p)
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    div = list(q)
-    while len(div) > 1 and div[-1] == 0:
-        div.pop()
-    if div == [0]:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if rem == [0]:
-        return (0,)
-    out = [0] * (len(rem) - len(div) + 1)
-    for top in range(len(rem) - 1, len(div) - 2, -1):
-        c, r = divmod(rem[top], div[-1])
-        if r:
-            raise ValueError("polynomial division is not exact")
-        pos = top - (len(div) - 1)
-        out[pos] = c
-        for j, b in enumerate(div):
-            rem[pos + j] -= c * b
-    if any(rem):
-        raise ValueError("polynomial division is not exact")
-    return tuple(out)
-
-
-def one_minus_y_power(i: int) -> tuple[int, ...]:
-    """Coefficients of 1 - Y^i."""
-    out = [0] * (i + 1)
-    out[0] = 1
-    out[i] = -1
-    return tuple(out)
-
-
 def gaussian_binomial(a: int, b: int) -> tuple[int, ...]:
     """The Gaussian binomial (a choose b)_Y as a coefficient tuple.
 
-    Computed as prod_{i=a-b+1..a}(1-Y^i) / prod_{i=1..b}(1-Y^i); the
-    division is verified exact rather than trusted.
+    Built row by row with the q-Pascal rule
+    (k choose j) = (k-1 choose j-1) + Y^j (k-1 choose j); there is no
+    polynomial division.
     """
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
     if a < b:
         raise ValueError(f"need a >= b, got ({a}, {b})")
-    if b == 0:
-        return (1,)
-    num = (1,)
-    for i in range(a - b + 1, a + 1):
-        num = poly_mul(num, one_minus_y_power(i))
-    den = (1,)
-    for i in range(1, b + 1):
-        den = poly_mul(den, one_minus_y_power(i))
-    return poly_exact_div(num, den)
+    row = [[1]]
+    for k in range(1, a + 1):
+        new = [[1]]
+        for j in range(1, min(k, b) + 1):
+            out = [0] * (j * (k - j) + 1)
+            for i, c in enumerate(row[j - 1]):
+                out[i] += c
+            if j < k:
+                for i, c in enumerate(row[j]):
+                    out[i + j] += c
+            new.append(out)
+        row = new
+    return tuple(row[b])
 
 
 def gaussian_multinomial(n: int, subset) -> tuple[int, ...]:

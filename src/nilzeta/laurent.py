@@ -128,12 +128,6 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
-    def t_min(self) -> int:
-        return min(et for (_, et) in self._terms)
-
     def t_max(self) -> int:
         return max(et for (_, et) in self._terms)
 
@@ -195,39 +189,3 @@ def poly_text(poly: LaurentPoly, tname: str = "t") -> str:
         return " ".join(mono)
 
     return format_terms(poly, monomial)
-
-
-def divmod_one_minus(poly: LaurentPoly, a: int, b: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Divide poly by (1 - q^a t^b) with b >= 1; returns (quotient, remainder).
-
-    The remainder, after shifting to nonnegative t-exponents, has t-degree
-    strictly below b, so divisibility is exactly `remainder == 0`.
-    """
-    if b < 1:
-        raise ValueError("divisor must have positive t-exponent")
-    if not poly:
-        return LaurentPoly.zero(), LaurentPoly.zero()
-    tmin = poly.t_min()
-    work = {(eq, et - tmin): c for (eq, et), c in poly.terms().items()}
-    quo: dict[tuple[int, int], int] = {}
-    while work:
-        etmax = max(et for (_, et) in work)
-        if etmax < b:
-            break
-        for key in [k for k in work if k[1] == etmax]:
-            eq, et = key
-            c = work.pop(key)
-            lower = (eq - a, et - b)
-            quo[lower] = quo.get(lower, 0) - c
-            work[lower] = work.get(lower, 0) + c
-    quotient = LaurentPoly({(eq, et + tmin): c for (eq, et), c in quo.items()})
-    remainder = LaurentPoly({(eq, et + tmin): c for (eq, et), c in work.items()})
-    return quotient, remainder
-
-
-def exact_div_one_minus_t(poly: LaurentPoly) -> LaurentPoly:
-    """Exact division by (1 - t); raises if the division leaves a remainder."""
-    quo, rem = divmod_one_minus(poly, 0, 1)
-    if rem:
-        raise ValueError("polynomial is not divisible by (1 - t)")
-    return quo

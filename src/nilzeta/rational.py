@@ -3,8 +3,8 @@
 A RationalFunction is a LaurentPoly numerator over a multiset of factors
 (1 - q^a t^b)^mult.  Denominators are never expanded for storage; equality
 is mathematical (cross-multiplication after cancelling common factors).
-No polynomial factorization is performed anywhere: the only divisions are
-multiset cancellation and exact division by (1 - t) in the t -> 1 limit.
+There is no polynomial division anywhere: t-series and t -> 1 limits are
+read off the factors, and dividing by a factor cancels it from the multiset.
 
 All values are immutable after construction and safe to share.
 """
@@ -15,10 +15,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterable
 
-from .laurent import LaurentPoly, exact_div_one_minus_t
+from .laurent import LaurentPoly
 
 
 class NonExpandableFactorError(ValueError):
@@ -85,10 +85,6 @@ class RationalFunction:
     def one(cls) -> "RationalFunction":
         return cls(LaurentPoly.one())
 
-    @classmethod
-    def from_poly(cls, num: LaurentPoly) -> "RationalFunction":
-        return cls(num)
-
     @property
     def num(self) -> LaurentPoly:
         return self._num
@@ -99,12 +95,6 @@ class RationalFunction:
 
     def den_counter(self) -> Counter:
         return Counter({(f.a, f.b): f.mult for f in self._den})
-
-    def den_expanded(self) -> LaurentPoly:
-        out = LaurentPoly.one()
-        for f in self._den:
-            out = out * f.expanded()
-        return out
 
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, LaurentPoly):
@@ -204,28 +194,20 @@ def rf_series_coeffs(x: RationalFunction, upto: int) -> list[LaurentPoly]:
             raise NonExpandableFactorError(
                 f"factor (1 - q^{f.a}) is constant in t and not invertible as a t-series"
             )
-    series: dict[tuple[int, int], int] = {}
+    series: list[dict[int, int]] = [{} for _ in range(upto + 1)]
     for (eq, et), c in x.num.terms().items():
         if et < 0:
             raise ValueError("numerator has negative t-exponents")
         if et <= upto:
-            series[(eq, et)] = c
+            series[et][eq] = c
+    # Dividing by (1 - q^a t^b) is the forward recurrence c_k += q^a c_(k-b).
     for f in x.den:
-        factor_terms = {
-            (f.a * j, f.b * j): comb(j + f.mult - 1, f.mult - 1) for j in range(upto // f.b + 1)
-        }
-        new: dict[tuple[int, int], int] = {}
-        for (qa, ta), ca in series.items():
-            for (qb, tb), cb in factor_terms.items():
-                if ta + tb > upto:
-                    continue
-                key = (qa + qb, ta + tb)
-                new[key] = new.get(key, 0) + ca * cb
-        series = new
-    out = []
-    for k in range(upto + 1):
-        out.append(LaurentPoly({(eq, 0): c for (eq, et), c in series.items() if et == k}))
-    return out
+        for _ in range(f.mult):
+            for k in range(f.b, upto + 1):
+                row = series[k]
+                for eq, c in series[k - f.b].items():
+                    row[eq + f.a] = row.get(eq + f.a, 0) + c
+    return [LaurentPoly({(eq, 0): c for eq, c in row.items()}) for row in series]
 
 
 @dataclass(frozen=True)
@@ -241,35 +223,32 @@ class LaurentQuotient:
         value = Fraction(other)
         return self.num * value.denominator == self.den * value.numerator
 
-    def as_fraction(self) -> Fraction:
-        """Value of a constant quotient."""
-        if not self.num:
-            return Fraction(0)
-        return Fraction(self.num.constant_value(), self.den.constant_value())
-
 
 def rf_limit_t1(x: RationalFunction) -> LaurentQuotient:
     """Exact limit of x as t -> 1, as a quotient of polynomials in q.
 
-    Expands the denominator and repeatedly divides numerator and denominator
-    by (1 - t) until the denominator no longer vanishes at t = 1.  If the
-    numerator stops being divisible first, the limit does not exist and a
-    PoleAtT1Error reports the residual pole order.
+    Read off the factors: the P factors (1 - t^b) with a = 0 are (1 - t)
+    times a cofactor worth b at t = 1, every other factor is worth
+    (1 - q^a).  The numerator is sum_k (-1)^k T_k (1 - t)^k with
+    T_k = sum c C(et, k) q^eq (C generalised to negative et).  If some
+    T_k with k < P is nonzero, a PoleAtT1Error reports the order P - k.
     """
-    num = x.num
-    den = x.den_expanded()
-    while not den.subs_t_one():
-        if not num.subs_t_one():
-            num = exact_div_one_minus_t(num)
-            den = exact_div_one_minus_t(den)
-            continue
-        order = 0
-        probe = den
-        while not probe.subs_t_one():
-            probe = exact_div_one_minus_t(probe)
-            order += 1
-        raise PoleAtT1Error(order)
-    return LaurentQuotient(num.subs_t_one(), den.subs_t_one())
+    pole = sum(f.mult for f in x.den if f.a == 0)
+    terms = x.num.terms().items()
+    for k in range(pole + 1):
+        taylor = LaurentPoly(((eq, 0), c * _binom(et, k)) for (eq, et), c in terms)
+        if k < pole and taylor:
+            raise PoleAtT1Error(pole - k)
+    den = LaurentPoly.term(prod(f.b**f.mult for f in x.den if f.a == 0))
+    for f in x.den:
+        if f.a:
+            den = den * f.expanded().subs_t_one()
+    return LaurentQuotient(taylor * (-1) ** pole, den)
+
+
+def _binom(n: int, k: int) -> int:
+    """C(n, k) = n(n-1)...(n-k+1)/k!, for any integer n."""
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
 
 
 def rational_to_obj(x: RationalFunction) -> dict:

@@ -125,6 +125,14 @@ def test_check_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("suite", [",", "", " , "])
+def test_check_empty_suite_list(capsys, suite):
+    code, out, err = run_cli(capsys, "check", "2", "3", "--suite", suite)
+    assert code == 2
+    assert out == ""
+    assert "no suite" in err
+
+
 def test_verify_mismatch_exit_one(capsys, monkeypatch):
     import nilzeta.cli as cli_mod
     from nilzeta.oracle import VerifyRecord

@@ -12,7 +12,7 @@ from nilzeta.igusa import (
     igusa_topological,
 )
 from nilzeta.laurent import LaurentPoly
-from nilzeta.rational import RationalFunction, rf_equal, rf_limit_t1
+from nilzeta.rational import RationalFunction, rf_equal, rf_limit_t1, rf_series_coeffs
 from nilzeta.univariate import LinearFactorRational
 
 
@@ -110,11 +110,10 @@ def test_reduced_residue_product_rule():
 
 def test_numerator_shares_no_denominator_factor():
     # Experimental observation on the degree-3 production data: the numerator
-    # is not divisible by any single denominator factor.
-    from nilzeta.laurent import divmod_one_minus
-
+    # is not divisible by any single denominator factor.  num is a multiple
+    # of (1 - q^a t^b) iff the series of num / (1 - q^a t^b) vanishes on the
+    # last b orders up to the t-degree of num.
     d = data(3, [(11, 7), (20, 10), (27, 12)])
     num = igusa_subset(d).num
     for a, b in d.x:
-        _, rem = divmod_one_minus(num, a, b)
-        assert rem
+        assert any(rf_series_coeffs(RationalFunction(num, [(a, b, 1)]), num.t_max())[-b:])

@@ -1,8 +1,8 @@
-"""Laurent polynomial arithmetic: exactness, canonical form, division helper."""
+"""Laurent polynomial arithmetic: exactness, canonical form."""
 
 import pytest
 
-from nilzeta.laurent import LaurentPoly, divmod_one_minus, exact_div_one_minus_t
+from nilzeta.laurent import LaurentPoly
 
 
 def test_difference_of_squares():
@@ -75,39 +75,3 @@ def test_value_at_q():
     assert p.value_at_q(2) == Fraction(9, 2)
     with pytest.raises(ValueError):
         LaurentPoly({(0, 1): 1}).value_at_q(2)
-
-
-def test_divmod_one_minus_exact():
-    # (1 - t^3) = (1 - t)(1 + t + t^2)
-    p = LaurentPoly({(0, 0): 1, (0, 3): -1})
-    quo, rem = divmod_one_minus(p, 0, 1)
-    assert rem == LaurentPoly.zero()
-    assert quo == LaurentPoly({(0, 0): 1, (0, 1): 1, (0, 2): 1})
-
-
-def test_divmod_one_minus_remainder():
-    p = LaurentPoly({(0, 0): 1, (1, 1): -1})  # 1 - q t
-    quo, rem = divmod_one_minus(p, 0, 1)
-    assert quo * LaurentPoly({(0, 0): 1, (0, 1): -1}) + rem == p
-    assert rem == LaurentPoly({(1, 0): -1, (0, 0): 1})
-    with pytest.raises(ValueError):
-        exact_div_one_minus_t(p)
-
-
-def test_divmod_general_monomial():
-    divisor = LaurentPoly({(0, 0): 1, (2, 3): -1})
-    quo = LaurentPoly({(1, 1): 4, (-2, 0): 7})
-    p = quo * divisor
-    got_quo, got_rem = divmod_one_minus(p, 2, 3)
-    assert got_rem == LaurentPoly.zero()
-    assert got_quo == quo
-
-
-def test_divmod_laurent_shift():
-    # divisibility is unaffected by a monomial shift into negative exponents
-    divisor = LaurentPoly({(0, 0): 1, (1, 2): -1})
-    quo = LaurentPoly({(-3, -5): 2, (0, 0): 1})
-    p = quo * divisor
-    got_quo, got_rem = divmod_one_minus(p, 1, 2)
-    assert got_rem == LaurentPoly.zero()
-    assert got_quo == quo

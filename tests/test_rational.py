@@ -7,6 +7,7 @@ import pytest
 from nilzeta.laurent import LaurentPoly
 from nilzeta.rational import (
     DenomFactor,
+    LaurentQuotient,
     NonExpandableFactorError,
     PoleAtT1Error,
     RationalFunction,
@@ -184,6 +185,36 @@ def test_limit_reports_residual_pole_order():
     with pytest.raises(PoleAtT1Error) as err:
         rf_limit_t1(x)
     assert err.value.order == 2
+
+
+def test_limit_against_known_answers():
+    # x = g (1 - t)^j / den with g(1) != 0: the limit is
+    # g(1) / (prod_{a=0} b^mult * prod_{a!=0} (1 - q^a)^mult) at j = P,
+    # 0 for j > P, and a pole of order P - j for j < P.
+    rng = random.Random(13)
+    one_minus_t = LaurentPoly({(0, 0): 1, (0, 1): -1})
+    for _ in range(60):
+        g = LaurentPoly(
+            {(rng.randrange(-3, 4), rng.randrange(-3, 5)): rng.randrange(-5, 6) for _ in range(4)}
+        )
+        if not g.subs_t_one():
+            continue
+        den = [(rng.randrange(0, 3), rng.randrange(1, 4), rng.randrange(1, 3)) for _ in range(3)]
+        den += [(rng.randrange(1, 3), 0, 1)] * rng.randrange(0, 2)
+        pole = sum(m for a, _, m in den if a == 0)
+        value = LaurentPoly.one()
+        for a, b, m in den:
+            value = value * (LaurentPoly.term(b**m) if a == 0 else DenomFactor(a, 0, m).expanded())
+        for j in range(pole + 3):
+            x = RationalFunction(g * one_minus_t**j, den)
+            if j < pole:
+                with pytest.raises(PoleAtT1Error) as err:
+                    rf_limit_t1(x)
+                assert err.value.order == pole - j
+            elif j == pole:
+                assert rf_limit_t1(x).equal(LaurentQuotient(g.subs_t_one(), value))
+            else:
+                assert rf_limit_t1(x).equal(0)
 
 
 def test_divided_by_cancels_multiset():
