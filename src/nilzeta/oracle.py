@@ -16,7 +16,7 @@ over (U, T) pairs and multiplies by the number of R blocks; the literal
 full-rank enumeration is kept alongside as count_ideals_naive and the two
 are compared in the test suite.
 
-Two exact reductions keep the (U, T) sum small.  Write kU, kT for the
+Three exact reductions keep the (U, T) sum small.  Write kU, kT for the
 index exponents of U and T, K for the largest index exponent wanted, and
 r = K - kU for the tail budget of U.
 
@@ -26,19 +26,27 @@ r = K - kU for the tail budget of U.
   linear in U's entries, so only those entries modulo p^r matter,
   diagonal included.  Column j of an HNF with diagonal p^k_j has j free
   entries in range(p^k_j); modulo p^r each takes min(p^k_j, p^r) values,
-  every one of them hit p^(k_j - r) times when k_j > r.  Enumerating the
-  residues and weighting each by the product of those hit counts gives the
-  same sums as enumerating U itself (u_residue_visits counts the residue
-  tuples).
-- Classes.  Residue tuples are tallied per key (r, the set of their
-  nonzero bracket vectors modulo p^r).  The key determines M + p^r Z^n,
-  whose Hermite normal form is computed once per key; the tallies are then
-  merged per (r, that normal form).  The number of tails of each index
-  kT <= r that contain M is a function of (r, M + p^r Z^n) alone, so the
-  tail tests run once per merged class, inside one call, and are multiplied
-  by the class's tally.  Nothing is cached across calls.
+  every one of them hit p^(k_j - r) times when k_j > r.
+- Rows.  M + p^r Z^n is the sum of the lattices spanned by each row's
+  brackets and p^r Z^n, and a row's residue involves only its own free
+  entries.  So the residue tuples are never formed: a dynamic programme
+  runs over the rows, with states the Hermite forms modulo p^r of the
+  lattice spanned so far, each weighted by the number of residue prefixes
+  (times the lift count) that reach it.  Each row's residues are tallied by
+  the Hermite form of their span, and every state is joined with every
+  span.  Inside one call each Hermite form, of a residue's brackets or of
+  a join, is computed once per r, so the work is one bracket-vector set
+  per row residue (enumeration_size counts them) plus dictionary lookups.
+- Tails.  The tails of index p^kT that contain M + p^r Z^n correspond to
+  the subgroups of index, equivalently of order, p^kT in the finite abelian
+  group Z^n / (M + p^r Z^n).  Its type is read off the Smith valuations of
+  the final state, and the subgroups are counted by Birkhoff's formula
+  (subgroup_count; G. Birkhoff, Proc. London Math. Soc. 38 (1935);
+  L. M. Butler, Mem. Amer. Math. Soc. 539 (1994); I. G. Macdonald,
+  Symmetric Functions and Hall Polynomials, ch. II), so no tail lattice is
+  enumerated.  Nothing is cached across calls.
 
-Smith valuations and the classes' Hermite forms modulo p^r come from the
+Smith valuations and the states' Hermite forms modulo p^r come from the
 one p-local elimination in zlinalg, which snf_valuations is imported from.
 All randomized checks take an explicit seed; enumeration works over Z with
 exact integers and explicit modular reduction, never over floats.
@@ -50,12 +58,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb, factorial
 from typing import Iterator
 
-from .combinat import compositions_revlex, e_count, gaussian_multinomial, lie_dims, require_prime
+from .combinat import (compositions_revlex, e_count, gaussian_binomial, gaussian_multinomial,
+                       lie_dims, require_prime)
 from .liering import LieStructure, build_structure, full_commutator_matrix, specialize
 from .rational import rf_series_coeffs
-from .zlinalg import hnf_mod, snf_valuations
+from .zlinalg import _smith, hnf_mod, snf_valuations
 from .zetas import graded_ideal_zeta, ideal_zeta
 
 DEFAULT_CEILING = 10**8
@@ -178,39 +188,30 @@ def _u_diagonals(d: int, upto: int) -> list[tuple[int, ...]]:
     return [c for ku in range(upto) for c in compositions_revlex(ku, d)[::-1]]
 
 
-def _residue_visits(comp, p: int, upto: int) -> int:
-    """Number of U residue tuples that the enumeration visits for the
-    diagonal (p^k for k in comp): prod_j min(p^k_j, p^r)^j with
-    r = upto - kU, or 0 when kU >= upto."""
-    r = upto - sum(comp)
-    if r <= 0:
-        return 0
-    size = 1
-    for j, kj in enumerate(comp):
-        size *= p ** (min(kj, r) * j)
-    return size
-
-
-def u_residue_visits(d: int, p: int, upto: int) -> int:
-    """Exact number of U residue tuples dirichlet_counts visits: the sum of
-    _residue_visits over every diagonal with kU < upto."""
-    return sum(_residue_visits(c, p, upto) for c in _u_diagonals(d, upto))
-
-
 def enumeration_size(d: int, n: int, p: int, upto: int) -> int:
-    """Bound on the loop iterations of dirichlet_counts: every U residue
-    tuple, each counted with the tails of index p^kT, kT <= upto - kU, that
-    it could be tested against.
+    """Work estimate of verify_dirichlet: the row residues the oracle visits,
+    the sum over diagonals with kU < upto and rows i of
+    prod_(j > i) min(p^k_j, p^(upto - kU)), plus the n! * C(n, 2) inversion
+    comparisons of the descent census behind the closed form.
 
-    A class is first reached by at least one residue tuple, and every tail
-    is generated once and tested against the classes whose budget covers
-    it, so the tail loop never runs more often than the second term; the
-    kU = 0 tuple alone accounts for generating every tail.
-    """
-    tails = [1]
-    for kt in range(1, upto + 1):
-        tails.append(tails[-1] + hnf_count(n, p, kt))
-    return sum(_residue_visits(c, p, upto) * tails[upto - sum(c)] for c in _u_diagonals(d, upto))
+    The diagonals are not listed, since there are C(d + upto - 1, upto - 1)
+    of them: the row term is summed column by column from the right, over
+    the suffixes of each sum s, keeping the total of their products and the
+    total of their rows' residue counts."""
+    rows = 0
+    for ku in range(upto):
+        cap = upto - ku
+        products, counts = {0: 1}, {0: 0}
+        for _ in range(d):
+            grown_products: dict[int, int] = {}
+            grown_counts: dict[int, int] = {}
+            for s, product in products.items():
+                for k in range(ku - s + 1):
+                    grown_products[s + k] = grown_products.get(s + k, 0) + product * p ** min(k, cap)
+                    grown_counts[s + k] = grown_counts.get(s + k, 0) + counts[s] + product
+            products, counts = grown_products, grown_counts
+        rows += counts[ku]
+    return rows + factorial(n) * comb(n, 2)
 
 
 def _row_residue_sets(tables, n: int, comp, p: int, modulus: int) -> list[list[frozenset]]:
@@ -231,96 +232,71 @@ def _row_residue_sets(tables, n: int, comp, p: int, modulus: int) -> list[list[f
     return rows
 
 
-def _counts_for_diagonals(bracket_triples, d: int, n: int, e: int, p: int, big_k: int,
-                          diagonals) -> tuple[list[int], list[int]]:
-    """Materialized part of the (U, T) sum for the given U diagonals.
+def subgroup_count(lam, k: int, p: int) -> int:
+    """Number of subgroups of order p^k in an abelian p-group of type lam.
 
-    Returns partial ideal and graded count vectors covering tail indices
-    kT >= 1; the tail-free term is closed-form and added by the caller.
+    Birkhoff's formula: the sum over partitions mu of k inside lam of
+    prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1) choose mu'_i - mu'_(i+1)]_p,
+    where ' is the conjugate partition.
     """
-    tables = _bracket_tables(bracket_triples, d, e)
-    classes: dict[int, dict[frozenset, int]] = {}
-    for comp in diagonals:
-        r = big_k - sum(comp)
-        if r <= 0:
-            continue
-        lifts = p ** sum(j * max(kj - r, 0) for j, kj in enumerate(comp))
-        # Row 0 has the most residues, so it is the inner loop.
-        first, *rest = _row_residue_sets(tables, n, comp, p, p**r)
-        tally = classes.setdefault(r, {})
-        for others in iproduct(*rest):
-            prefix = frozenset().union(*others)
-            for row_set in first:
-                key = prefix | row_set
-                tally[key] = tally.get(key, 0) + lifts
-    lattices: dict[tuple[int, tuple], int] = {}
-    for r, tally in classes.items():
-        for vectors, weight in tally.items():
-            key = (r, hnf_mod(vectors, n, p, r))
-            lattices[key] = lattices.get(key, 0) + weight
-    ideal = [0] * (big_k + 1)
-    graded = [0] * (big_k + 1)
-    top = max((r for r, _ in lattices), default=0)
-    for kt in range(1, top + 1):
-        scale = p ** (d * kt)
-        live = [(big_k - r + kt, basis, weight) for (r, basis), weight in lattices.items() if r >= kt]
-        # Tails are generated, not stored: memory stays proportional to the
-        # number of classes however many tails there are.
-        for tail in hnf_enumerate(n, p, kt):
-            for k, basis, weight in live:
-                if all(hnf_contains(tail.matrix, v) for v in basis):
-                    graded[k] += weight
-                    ideal[k] += weight * scale
-    return ideal, graded
+    conj = [sum(1 for part in lam if part > i) for i in range(max(lam, default=0))]
+
+    def columns(i: int, after: int, left: int) -> int:
+        # mu'_1 >= ... >= mu'_i >= after = mu'_(i+1), summing to `left`
+        if i == 0:
+            return int(left == 0)
+        total = 0
+        top = conj[i - 1]
+        for a in range(after, min(top, left) + 1):
+            if a * i > left:
+                break
+            binom = sum(c * p**j for j, c in enumerate(gaussian_binomial(top - after, a - after)))
+            total += p ** (after * (top - a)) * binom * columns(i - 1, a, left - a)
+        return total
+
+    return columns(len(conj), 0, k)
 
 
-def _count_worker(payload):
-    return _counts_for_diagonals(*payload)
-
-
-def _balanced_chunks(diagonals, weights, parts: int) -> list[list]:
-    """Greedy longest-first split of `diagonals` into at most `parts`
-    nonempty chunks with near-equal total weight."""
-    loads = [0] * parts
-    chunks: list[list] = [[] for _ in range(parts)]
-    for w, comp in sorted(zip(weights, diagonals), key=lambda wc: -wc[0]):
-        i = loads.index(min(loads))
-        loads[i] += w
-        chunks[i].append(comp)
-    return [c for c in chunks if c]
-
-
-def dirichlet_counts(struct: LieStructure, p: int, upto: int,
-                     threads: int = 1) -> tuple[list[int], list[int]]:
-    """Ideal and graded-ideal counts for indices p^0 .. p^upto.
-
-    Work is partitioned by the diagonal composition of the non-central
-    block, each diagonal weighted by its _residue_visits; totals are sums of
-    integers, so they do not depend on the partitioning.
-    """
+def dirichlet_counts(struct: LieStructure, p: int, upto: int) -> tuple[list[int], list[int]]:
+    """Ideal and graded-ideal counts for indices p^0 .. p^upto, by the row
+    programme over Hermite states and Birkhoff's tail count (module docstring)."""
     require_prime(p)
     d, n, e = struct.dims.d, struct.dims.n, struct.dims.e
     ideal = [hnf_count(d, p, k) for k in range(upto + 1)]
     graded = list(ideal)
-    diagonals = _u_diagonals(d, upto)
-    if threads > 1 and len(diagonals) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    tables = _bracket_tables(struct.brackets, d, e)
+    classes: dict[tuple[int, tuple], int] = {}
+    hermite_forms: dict[tuple, tuple] = {}
 
-        weights = [_residue_visits(c, p, upto) for c in diagonals]
-        payloads = [
-            (struct.brackets, d, n, e, p, upto, chunk)
-            for chunk in _balanced_chunks(diagonals, weights, threads)
-        ]
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            parts = list(pool.map(_count_worker, payloads))
-    else:
-        parts = [
-            _counts_for_diagonals(struct.brackets, d, n, e, p, upto, diagonals)
-        ]
-    for part_ideal, part_graded in parts:
-        for k in range(upto + 1):
-            ideal[k] += part_ideal[k]
-            graded[k] += part_graded[k]
+    def hermite(r: int, vectors) -> tuple:
+        key = (r, vectors)
+        if key not in hermite_forms:
+            hermite_forms[key] = hnf_mod(vectors, n, p, r)
+        return hermite_forms[key]
+
+    for comp in _u_diagonals(d, upto):
+        r = upto - sum(comp)
+        lifts = p ** sum(j * max(kj - r, 0) for j, kj in enumerate(comp))
+        states = {hermite(r, ()): lifts}
+        for row in _row_residue_sets(tables, n, comp, p, p**r):
+            spans: dict[tuple, int] = {}
+            for vectors in row:
+                span = hermite(r, vectors)
+                spans[span] = spans.get(span, 0) + 1
+            joined: dict[tuple, int] = {}
+            for state, weight in states.items():
+                for span, count in spans.items():
+                    join = hermite(r, state + span)
+                    joined[join] = joined.get(join, 0) + weight * count
+            states = joined
+        for state, weight in states.items():
+            classes[(r, state)] = classes.get((r, state), 0) + weight
+    for (r, state), weight in classes.items():
+        lam = [v for v in _smith(state, p, r) if v]
+        for kt in range(1, r + 1):
+            tails = weight * subgroup_count(lam, kt, p)
+            graded[upto - r + kt] += tails
+            ideal[upto - r + kt] += tails * p ** (d * kt)
     return ideal, graded
 
 
@@ -537,7 +513,7 @@ class VerifyRecord:
 
 
 def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
-                     ceiling: int | None = None, threads: int = 1) -> list[VerifyRecord]:
+                     ceiling: int | None = None) -> list[VerifyRecord]:
     """Compare series coefficients of the closed form at q = p against the
     enumeration counts for indices p^0 .. p^upto.
 
@@ -553,7 +529,7 @@ def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
     zeta = graded_ideal_zeta(m, n) if graded else ideal_zeta(m, n)
     coeffs = rf_series_coeffs(zeta, upto)
     struct = build_structure(m, n)
-    ideal_counts, graded_counts = dirichlet_counts(struct, p, upto, threads=threads)
+    ideal_counts, graded_counts = dirichlet_counts(struct, p, upto)
     oracle_counts = graded_counts if graded else ideal_counts
     records = []
     for k in range(upto + 1):

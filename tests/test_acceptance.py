@@ -77,6 +77,10 @@ def test_criterion_03_oracle_concordance_ideal():
         (2, 2, 2, 5),
         (2, 2, 3, 4),
         (2, 3, 2, 2),
+        (2, 3, 2, 6),
+        (2, 3, 3, 4),
+        (2, 4, 2, 4),
+        (3, 3, 2, 4),
     ]
     ok = True
     for m, n, p, upto in configs:
@@ -88,7 +92,7 @@ def test_criterion_03_oracle_concordance_ideal():
 
 def test_criterion_04_oracle_concordance_graded():
     start = time.monotonic()
-    configs = [(1, 1, 2, 5), (1, 2, 2, 3), (1, 2, 3, 3)]
+    configs = [(1, 1, 2, 5), (1, 2, 2, 3), (1, 2, 3, 3), (2, 3, 2, 4)]
     ok = True
     for m, n, p, upto in configs:
         records = verify_dirichlet(m, n, p, upto, graded=True)

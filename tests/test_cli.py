@@ -93,6 +93,15 @@ def test_verify_ceiling_env(capsys, monkeypatch):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("n,upto", [("12", "1"), ("16", "2")])
+def test_verify_refuses_census(capsys, n, upto):
+    # tiny oracle runs, but the closed form's census would walk n! permutations
+    code, out, err = run_cli(capsys, "verify", "1", n, "--upto", upto)
+    assert code == 2
+    assert out == ""
+    assert "refused" in err
+
+
 def test_verify_threads(capsys):
     code, out, _ = run_cli(capsys, "verify", "1", "1", "--prime", "2", "--upto", "4", "--threads", "2")
     assert code == 0

@@ -3,18 +3,18 @@
 import random
 import subprocess
 import sys
+from math import comb, factorial
 
 import pytest
 
 from nilzeta.combinat import PRIME_BOUND, compositions_revlex
+from nilzeta import oracle
 from nilzeta.liering import abelian_structure, build_structure, rank_mod
 from nilzeta.oracle import (
     CeilingExceededError,
     HnfBasis,
     LatticeType,
-    _balanced_chunks,
     _bracket_tables,
-    _residue_visits,
     _row_residue_sets,
     congruence_index_check,
     count_graded_ideals,
@@ -30,11 +30,12 @@ from nilzeta.oracle import (
     rep_matrix_check,
     sample_antidiagonal,
     snf_valuations,
+    subgroup_count,
     type_from_valuations,
-    u_residue_visits,
     verify_dirichlet,
 )
 from nilzeta.rational import rf_series_coeffs
+from nilzeta.zlinalg import hnf_mod
 from nilzeta.zetas import abelian_zeta, graded_ideal_zeta
 
 
@@ -121,12 +122,6 @@ def test_abelian_structure_counts_all_sublattices(m, n):
             assert count_ideals(struct, p, k) == hnf_count(h, p, k)
 
 
-def test_dirichlet_counts_threads_deterministic():
-    for m, n, p, upto in [(1, 2, 2, 4), (2, 2, 2, 4)]:
-        struct = build_structure(m, n)
-        assert dirichlet_counts(struct, p, upto, threads=1) == dirichlet_counts(struct, p, upto, threads=3)
-
-
 # Ideal and graded counts of every `verify` case in the benchmark pool, plus
 # two cases where a diagonal exponent exceeds the tail budget K - kU.  The
 # lists were produced by the full (U, T) enumeration, so any change to the
@@ -153,46 +148,80 @@ def test_dirichlet_counts_pinned(m, n, p, upto):
 
 
 @pytest.mark.parametrize(
-    "m,n,p,upto,visits",
-    [(2, 2, 2, 4, 2574), (1, 3, 2, 5, 1715), (2, 2, 2, 5, 14819), (2, 3, 2, 3, 87893)],
+    "m,n,p,upto,rows",
+    [(2, 2, 2, 4, 575), (1, 3, 2, 5, 631), (2, 2, 2, 5, 1591), (2, 3, 2, 3, 939)],
 )
-def test_u_residue_visits_values(m, n, p, upto, visits):
-    assert u_residue_visits(build_structure(m, n).dims.d, p, upto) == visits
-
-
-@pytest.mark.parametrize("m,n,p,upto", [(1, 1, 2, 4), (1, 2, 2, 3), (1, 2, 3, 2), (2, 2, 2, 2)])
-def test_u_residue_visits_counts_the_kernel_loop(m, n, p, upto):
+def test_enumeration_size_counts_row_residues(m, n, p, upto, rows):
     struct = build_structure(m, n)
     d = struct.dims.d
     tables = _bracket_tables(struct.brackets, d, struct.dims.e)
-    loop = 0
+    visited = sum(
+        len(row)
+        for ku in range(upto)
+        for comp in compositions_revlex(ku, d)
+        for row in _row_residue_sets(tables, n, comp, p, p ** (upto - ku))
+    )
+    assert visited == rows == enumeration_size(d, n, p, upto) - factorial(n) * comb(n, 2)
+
+
+def test_enumeration_size_does_not_list_diagonals(monkeypatch):
+    # (6, 6) has d = 714: listing the diagonals of kU <= 2 would hold
+    # 255,970 tuples of 714 entries before the run could be refused
+    monkeypatch.setattr(oracle, "_u_diagonals", None)
+    with pytest.raises(CeilingExceededError) as err:
+        verify_dirichlet(6, 6, 2, 3)
+    assert err.value.estimate == 425170459 + factorial(6) * comb(6, 2)
+
+
+@pytest.mark.parametrize("m,n,p,upto", [(1, 1, 2, 4), (1, 2, 2, 3), (1, 2, 3, 2), (2, 2, 2, 2)])
+def test_row_residues_parametrise_u(m, n, p, upto):
+    struct = build_structure(m, n)
+    d = struct.dims.d
+    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
+    tuples = 0
+    lifted = 0
     residues = set()
     for ku in range(upto):
-        modulus = p ** (upto - ku)
+        r = upto - ku
         for comp in compositions_revlex(ku, d):
             size = 1
-            for row in _row_residue_sets(tables, struct.dims.n, comp, p, modulus):
+            for row in _row_residue_sets(tables, struct.dims.n, comp, p, p**r):
                 size *= len(row)
-            loop += size
+            tuples += size
+            lifted += size * p ** sum(j * max(kj - r, 0) for j, kj in enumerate(comp))
         # independently: distinct (diagonal, entries mod p^r) over all HNFs
         for basis in hnf_enumerate(d, p, ku):
             diagonal = tuple(basis.matrix[i][i] for i in range(d))
-            residues.add((diagonal, tuple(tuple(x % modulus for x in row) for row in basis.matrix)))
-    assert loop == len(residues) == u_residue_visits(d, p, upto)
-    lifted = sum(
-        _residue_visits(comp, p, upto)
-        * p ** sum(j * max(kj - (upto - ku), 0) for j, kj in enumerate(comp))
-        for ku in range(upto)
-        for comp in compositions_revlex(ku, d)
-    )
+            residues.add((diagonal, tuple(tuple(x % p**r for x in row) for row in basis.matrix)))
+    assert tuples == len(residues)
     assert lifted == sum(hnf_count(d, p, ku) for ku in range(upto))
 
 
-def test_balanced_chunks_longest_first():
-    diagonals = ["a", "b", "c", "d", "e"]
-    chunks = _balanced_chunks(diagonals, [5, 4, 3, 3, 1], 2)
-    assert chunks == [["a", "d"], ["b", "c", "e"]]
-    assert _balanced_chunks(["a"], [7], 3) == [["a"]]
+def test_subgroup_count_matches_tail_containment():
+    rng = random.Random(20261018)
+    tails = {}
+    for _ in range(240):
+        n, p, r = rng.randrange(1, 4), rng.choice((2, 3)), rng.randrange(1, 4)
+        vectors = [tuple(rng.randrange(p**r) * rng.randrange(2) for _ in range(n))
+                   for _ in range(rng.randrange(4))]
+        generators = vectors + [tuple(p**r * (i == j) for j in range(n)) for i in range(n)]
+        lam = [v for v in snf_valuations(hnf_mod(vectors, n, p, r), p, r) if v]
+        for kt in range(1, r + 1):
+            if (n, p, kt) not in tails:
+                tails[(n, p, kt)] = [t.matrix for t in hnf_enumerate(n, p, kt)]
+            containing = sum(
+                all(hnf_contains(t, v) for v in generators) for t in tails[(n, p, kt)]
+            )
+            assert subgroup_count(lam, kt, p) == containing
+
+
+def test_subgroup_count_examples():
+    assert subgroup_count([], 0, 5) == 1
+    assert subgroup_count([], 1, 5) == 0
+    assert subgroup_count([1, 1], 1, 3) == 4
+    assert subgroup_count([2], 1, 3) == 1
+    # Z/p^2 + Z/p: p + 1 subgroups of order p and p + 1 of order p^2
+    assert subgroup_count([2, 1], 1, 2) == subgroup_count([2, 1], 2, 2) == 3
 
 
 @pytest.mark.parametrize("q", [4, 6, 9, 1, PRIME_BOUND])
@@ -230,16 +259,18 @@ def test_verify_dirichlet_graded():
 
 def test_verify_dirichlet_ceiling():
     with pytest.raises(CeilingExceededError) as err:
-        verify_dirichlet(2, 3, 2, 6, ceiling=10**6)
-    assert err.value.estimate == 222398229281
+        verify_dirichlet(2, 3, 2, 9, ceiling=10**6)
+    # 2344543 row residues and 3! * 3 census comparisons
+    assert err.value.estimate == 2344561
 
 
-def test_verify_dirichlet_ceiling_counts_tails():
-    # 131072 U residue tuples, but about 2.9e9 tail lattices of index <= 4 in Z^16
-    assert u_residue_visits(17, 2, 2) == 131072
+@pytest.mark.parametrize("n,upto", [(12, 1), (16, 2)])
+def test_verify_dirichlet_ceiling_counts_census(n, upto):
+    # the oracle is small here, but the closed form's census runs over n!
     with pytest.raises(CeilingExceededError) as err:
-        verify_dirichlet(1, 16, 2, 2)
-    assert err.value.estimate == enumeration_size(17, 16, 2, 2) > 10**10
+        verify_dirichlet(1, n, 2, upto)
+    assert err.value.estimate == enumeration_size(n + 1, n, 2, upto)
+    assert err.value.estimate > factorial(n) * comb(n, 2) > 10**8
 
 
 def test_snf_valuations_examples():
