@@ -36,7 +36,7 @@ from .oracle import (
     rep_matrix_check,
     verify_dirichlet,
 )
-from .rational import RationalFunction, rational_to_obj, rf_equal, rf_series_coeffs
+from .rational import RationalFunction, rational_to_obj, rf_equal, rf_series_coeffs, rf_series_work
 from .univariate import LinearFactorRational
 from .zetas import (
     ZetaReport,
@@ -53,6 +53,10 @@ from .zetas import (
 )
 
 DEFAULT_SEED = 1729
+# coeffs refuses a series whose rf_series_work bounds exceed these: about
+# 15 s of coefficient updates, or about 200 MB of coefficients
+SERIES_UPDATES_BOUND = 10**8
+SERIES_TERMS_BOUND = 10**6
 
 
 def _dumps(obj) -> str:
@@ -341,6 +345,11 @@ def _run_verify(args) -> int:
 
 def _run_coeffs(args) -> int:
     zeta = graded_ideal_zeta(args.m, args.n) if args.graded else ideal_zeta(args.m, args.n)
+    updates, terms = rf_series_work(zeta, args.upto)
+    if updates > SERIES_UPDATES_BOUND or terms > SERIES_TERMS_BOUND:
+        print(f"refused: series of up to {updates} updates and {terms} terms exceeds the bounds "
+              f"{SERIES_UPDATES_BOUND} and {SERIES_TERMS_BOUND}", file=sys.stderr)
+        return 2
     coeffs = rf_series_coeffs(zeta, args.upto)
     if args.format == "json":
         out = []

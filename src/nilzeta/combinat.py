@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -38,12 +39,14 @@ def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def gaussian_binomial(a: int, b: int) -> tuple[int, ...]:
     """The Gaussian binomial (a choose b)_Y as a coefficient tuple.
 
     Built row by row with the q-Pascal rule
     (k choose j) = (k-1 choose j-1) + Y^j (k-1 choose j); there is no
-    polynomial division.
+    polynomial division.  Memoised, so the chain products of the subset
+    form and of the descent census share their factors.
     """
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
@@ -81,6 +84,23 @@ def gaussian_multinomial(n: int, subset) -> tuple[int, ...]:
         out = poly_mul(out, gaussian_binomial(upper, i))
         upper = i
     return out
+
+
+def gaussian_multinomials(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """gaussian_multinomial(n, I) for every subset I of [n-1], keyed by I
+    as a sorted tuple.
+
+    The chains share their tops: the product for I is the product for I
+    minus its least element i_1, times (i_2 choose i_1), so each subset
+    costs one multiplication instead of |I|.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    table = {(): (1,)}
+    for low in range(n - 1, 0, -1):
+        for chain, product in list(table.items()):
+            table[(low,) + chain] = poly_mul(product, gaussian_binomial(chain[0] if chain else n, low))
+    return table
 
 
 def compositions_revlex(total: int, n: int) -> list[tuple[int, ...]]:

@@ -9,6 +9,16 @@ denominator prod_j (1 - X_j):
   permutation form:  sum over w in S_n of Y^len(w) * prod_{j in Des(w)} X_j,
                      over the common denominator.
 
+The permutation form never walks S_n.  It needs only the census of S_n by
+(length, descent set), and Stanley's identity (Enumerative Combinatorics I,
+section 1.4) gives that census from the Gaussian multinomials: the
+permutations with descent set inside S have length generating function
+(n choose S)_Y, so Moebius inversion over the subsets of [n-1] yields the
+census in census_subtractions(n) = (n - 1) 2^(n - 2) (C(n, 2) + 1)
+coefficient subtractions, against n! C(n, 2) comparisons for the walk.
+The walk survives as combinat.permutations_with_stats, the reference the
+tests hold the census to.
+
 A third form that factors 1/(1 - X_n) out of the subset sum is provided for
 cross-checking only.  The topological and reduced degenerations live in a
 single variable: the former is returned as a LinearFactorRational in s, the
@@ -21,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .combinat import gaussian_multinomial, permutations_with_stats
+from .combinat import gaussian_multinomial, gaussian_multinomials
 from .laurent import LaurentPoly
 from .rational import RationalFunction
 from .univariate import LinearFactorRational
@@ -77,14 +87,42 @@ def igusa_middle(data: IgusaData) -> RationalFunction:
     return _subset_sum(data, data.n - 1)
 
 
+def census_subtractions(n: int) -> int:
+    """Coefficient subtractions of _descent_census(n): each of the n - 1
+    coordinates updates the 2^(n - 2) subsets that contain it, C(n, 2) + 1
+    coefficients each."""
+    return (n - 1) * 2 ** (n - 1) // 2 * (comb(n, 2) + 1)
+
+
 @lru_cache(maxsize=None)
 def _descent_census(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """Number of permutations per (length, descent set) pair."""
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for _, length, descents in permutations_with_stats(n):
-        key = (length, descents)
-        counts[key] = counts.get(key, 0) + 1
-    return tuple((length, descents, c) for (length, descents), c in sorted(counts.items()))
+    """Number of permutations per (length, descent set) pair, sorted.
+
+    Stanley's identity: the length generating function of the permutations
+    whose descent set lies inside T is alpha_T = (n choose T)_Y.  Inverting
+    over the Boolean lattice of [n-1], one coordinate at a time, leaves
+    beta_S = sum over T inside S of (-1)^|S - T| alpha_T, the length
+    generating function of the permutations with descent set exactly S.
+    Every list is padded to the C(n, 2) + 1 coefficients of [n]_Y!, so the
+    inversion makes census_subtractions(n) coefficient subtractions.
+    """
+    size = comb(n, 2) + 1
+    sets: list[tuple[int, ...]] = [()] * (1 << (n - 1))
+    beta: list[list[int]] = [[]] * (1 << (n - 1))
+    for descents, alpha in gaussian_multinomials(n).items():
+        mask = sum(1 << (j - 1) for j in descents)
+        sets[mask] = descents
+        beta[mask] = list(alpha) + [0] * (size - len(alpha))
+    for bit in (1 << i for i in range(n - 1)):
+        for mask in range(1 << (n - 1)):
+            if mask & bit:
+                beta[mask] = [a - b for a, b in zip(beta[mask], beta[mask ^ bit])]
+    return tuple(sorted(
+        (length, descents, count)
+        for descents, row in zip(sets, beta)
+        for length, count in enumerate(row)
+        if count
+    ))
 
 
 def igusa_permutation(data: IgusaData) -> RationalFunction:

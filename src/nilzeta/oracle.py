@@ -58,11 +58,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb, factorial
 from typing import Iterator
 
 from .combinat import (compositions_revlex, e_count, gaussian_binomial, gaussian_multinomial,
                        lie_dims, require_prime)
+from .igusa import census_subtractions
 from .liering import LieStructure, build_structure, full_commutator_matrix, specialize
 from .rational import rf_series_coeffs
 from .zlinalg import _smith, hnf_mod, snf_valuations
@@ -191,8 +191,9 @@ def _u_diagonals(d: int, upto: int) -> list[tuple[int, ...]]:
 def enumeration_size(d: int, n: int, p: int, upto: int) -> int:
     """Work estimate of verify_dirichlet: the row residues the oracle visits,
     the sum over diagonals with kU < upto and rows i of
-    prod_(j > i) min(p^k_j, p^(upto - kU)), plus the n! * C(n, 2) inversion
-    comparisons of the descent census behind the closed form.
+    prod_(j > i) min(p^k_j, p^(upto - kU)), plus the coefficient
+    subtractions of the descent census behind the closed form
+    (igusa.census_subtractions).
 
     The diagonals are not listed, since there are C(d + upto - 1, upto - 1)
     of them: the row term is summed column by column from the right, over
@@ -211,7 +212,7 @@ def enumeration_size(d: int, n: int, p: int, upto: int) -> int:
                     grown_counts[s + k] = grown_counts.get(s + k, 0) + counts[s] + product
             products, counts = grown_products, grown_counts
         rows += counts[ku]
-    return rows + factorial(n) * comb(n, 2)
+    return rows + census_subtractions(n)
 
 
 def _row_residue_sets(tables, n: int, comp, p: int, modulus: int) -> list[list[frozenset]]:

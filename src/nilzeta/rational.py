@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import ceil, comb, prod
 from typing import Iterable
 
 from .laurent import LaurentPoly
@@ -208,6 +208,31 @@ def rf_series_coeffs(x: RationalFunction, upto: int) -> list[LaurentPoly]:
                 for eq, c in series[k - f.b].items():
                     row[eq + f.a] = row.get(eq + f.a, 0) + c
     return [LaurentPoly({(eq, 0): c for eq, c in row.items()}) for row in series]
+
+
+def rf_series_work(x: RationalFunction, upto: int) -> tuple[int, int]:
+    """Upper bounds on the work of rf_series_coeffs(x, upto): the
+    coefficient updates, and the coefficients held in the rows.
+
+    With a/b ranging over [lo, hi] across the factors (1 - q^a t^b), a term
+    q^e t^s of the numerator reaches row k only at q-exponents in
+    [e - s lo + k lo, e - s hi + k hi], so row k holds at most
+    w + k (hi - lo) + 1 coefficients, where w >= 0 bounds the spread of the
+    numerator's endpoints.  Rows 0..K - 1 hold at most
+    K (w + 1) + (hi - lo) K (K - 1) / 2, and each factor, once per
+    multiplicity, reads rows 0..upto - b.
+    """
+    terms = [(eq, et) for eq, et in x.num.terms() if 0 <= et <= upto]
+    if not terms:
+        return 0, 0
+    lo = min((Fraction(f.a, f.b) for f in x.den if f.b), default=0)
+    hi = max((Fraction(f.a, f.b) for f in x.den if f.b), default=0)
+    spread = max(max(eq - et * hi for eq, et in terms) - min(eq - et * lo for eq, et in terms), 0)
+
+    def held(rows: int) -> Fraction:
+        return rows * (spread + 1) + (hi - lo) * rows * (rows - 1) / 2 if rows > 0 else Fraction(0)
+
+    return ceil(sum(f.mult * held(upto - f.b + 1) for f in x.den)), ceil(held(upto + 1))
 
 
 @dataclass(frozen=True)

@@ -93,13 +93,39 @@ def test_verify_ceiling_env(capsys, monkeypatch):
     assert "refused" in err
 
 
-@pytest.mark.parametrize("n,upto", [("12", "1"), ("16", "2")])
-def test_verify_refuses_census(capsys, n, upto):
-    # tiny oracle runs, but the closed form's census would walk n! permutations
+@pytest.mark.parametrize("n,upto,estimate", [
+    pytest.param("18", "1", 171573267, id="18-1"),
+    pytest.param("20", "2", 951321248, id="20-2"),
+])
+def test_verify_refuses_census(capsys, n, upto, estimate):
+    # tiny oracle runs, but the closed form's census would invert over the
+    # 2^(n - 1) descent sets
     code, out, err = run_cli(capsys, "verify", "1", n, "--upto", upto)
     assert code == 2
     assert out == ""
-    assert "refused" in err
+    assert f"refused: enumeration size {estimate} exceeds the ceiling 100000000" in err
+
+
+def test_verify_reaches_degree_10(capsys):
+    # refused while the census walked the 10! permutations of S_10
+    code, out, _ = run_cli(capsys, "verify", "1", "10", "--prime", "2", "--upto", "1")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["k"] for r in records] == [0, 1]
+    assert all(r["match"] for r in records)
+
+
+@pytest.mark.parametrize("m,n,upto,message", [
+    # (1, 1) has factors t, q t, q^2 t^3: row k holds up to k + 1 terms
+    ("1", "1", "1413", "series of up to 2994148 updates and 1000405 terms"),
+    # (6, 6) has 720 factors, each reading every row
+    ("6", "6", "21", "series of up to 106922214 updates and 164725 terms"),
+])
+def test_coeffs_refuses_series_work(capsys, m, n, upto, message):
+    code, out, err = run_cli(capsys, "coeffs", m, n, "--upto", upto)
+    assert code == 2
+    assert out == ""
+    assert err == f"refused: {message} exceeds the bounds 100000000 and 1000000\n"
 
 
 def test_verify_threads(capsys):

@@ -10,6 +10,7 @@ from nilzeta.combinat import (
     f_count,
     gaussian_binomial,
     gaussian_multinomial,
+    gaussian_multinomials,
     lie_dims,
     permutations_with_stats,
     poly_mul,
@@ -67,6 +68,14 @@ def test_gaussian_binomial_rejects():
 def test_gaussian_binomial_at_one(a):
     for b in range(a + 1):
         assert sum(gaussian_binomial(a, b)) == comb(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gaussian_multinomials_table(n):
+    table = gaussian_multinomials(n)
+    assert len(table) == 2 ** (n - 1)
+    for subset, product in table.items():
+        assert product == gaussian_multinomial(n, subset)
 
 
 def test_gaussian_multinomial():

@@ -2,9 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
+import pytest
+
+from nilzeta import igusa
+from nilzeta.combinat import permutations_with_stats, poly_mul
 from nilzeta.igusa import (
     IgusaData,
+    _descent_census,
+    census_subtractions,
     igusa_middle,
     igusa_permutation,
     igusa_reduced,
@@ -45,6 +52,55 @@ def test_degree_three_published_numerator():
         {(0, 0): 1, (9, 7): 1, (10, 7): 1, (18, 10): 1, (19, 10): 1, (28, 17): 1}
     )
     assert [(f.a, f.b) for f in out.den] == [(11, 7), (20, 10), (27, 12)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_descent_census_matches_permutation_walk(n):
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for _, length, descents in permutations_with_stats(n):
+        counts[(length, descents)] = counts.get((length, descents), 0) + 1
+    assert _descent_census(n) == tuple((length, des, c) for (length, des), c in sorted(counts.items()))
+
+
+@pytest.mark.parametrize("n", range(10, 13))
+def test_descent_census_marginals(n):
+    census = _descent_census(n)
+    assert sum(c for _, _, c in census) == factorial(n)
+    # summed over descent sets: the Mahonian numbers, coefficients of [n]_Y!
+    mahonian = (1,)
+    for i in range(1, n + 1):
+        mahonian = poly_mul(mahonian, (1,) * i)
+    lengths = [0] * len(mahonian)
+    for length, _, c in census:
+        lengths[length] += c
+    assert tuple(lengths) == mahonian
+    # summed over lengths: the Eulerian numbers A(n, k) by their recurrence
+    eulerian = [1]
+    for size in range(2, n + 1):
+        eulerian = [
+            (k + 1) * (eulerian[k] if k < len(eulerian) else 0)
+            + (size - k) * (eulerian[k - 1] if k else 0)
+            for k in range(size)
+        ]
+    descents = [0] * n
+    for _, des, c in census:
+        descents[len(des)] += c
+    assert descents == eulerian
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_census_subtractions_counts_the_inversion(n, monkeypatch):
+    # every subtraction of the inversion consumes one pair of coefficients
+    pairs = []
+
+    def counting_zip(first, second):
+        out = list(zip(first, second))
+        pairs.extend(p for p in out if isinstance(p[0], int))
+        return out
+
+    monkeypatch.setattr(igusa, "zip", counting_zip, raising=False)
+    igusa._descent_census.__wrapped__(n)
+    assert len(pairs) == census_subtractions(n) == (n - 1) * 2 ** (n - 1) // 2 * (comb(n, 2) + 1)
 
 
 def test_form_equivalence_randomized():

@@ -3,11 +3,11 @@
 import random
 import subprocess
 import sys
-from math import comb, factorial
 
 import pytest
 
 from nilzeta.combinat import PRIME_BOUND, compositions_revlex
+from nilzeta.igusa import census_subtractions
 from nilzeta import oracle
 from nilzeta.liering import abelian_structure, build_structure, rank_mod
 from nilzeta.oracle import (
@@ -161,7 +161,7 @@ def test_enumeration_size_counts_row_residues(m, n, p, upto, rows):
         for comp in compositions_revlex(ku, d)
         for row in _row_residue_sets(tables, n, comp, p, p ** (upto - ku))
     )
-    assert visited == rows == enumeration_size(d, n, p, upto) - factorial(n) * comb(n, 2)
+    assert visited == rows == enumeration_size(d, n, p, upto) - census_subtractions(n)
 
 
 def test_enumeration_size_does_not_list_diagonals(monkeypatch):
@@ -170,7 +170,7 @@ def test_enumeration_size_does_not_list_diagonals(monkeypatch):
     monkeypatch.setattr(oracle, "_u_diagonals", None)
     with pytest.raises(CeilingExceededError) as err:
         verify_dirichlet(6, 6, 2, 3)
-    assert err.value.estimate == 425170459 + factorial(6) * comb(6, 2)
+    assert err.value.estimate == 425170459 + census_subtractions(6)
 
 
 @pytest.mark.parametrize("m,n,p,upto", [(1, 1, 2, 4), (1, 2, 2, 3), (1, 2, 3, 2), (2, 2, 2, 2)])
@@ -260,17 +260,24 @@ def test_verify_dirichlet_graded():
 def test_verify_dirichlet_ceiling():
     with pytest.raises(CeilingExceededError) as err:
         verify_dirichlet(2, 3, 2, 9, ceiling=10**6)
-    # 2344543 row residues and 3! * 3 census comparisons
-    assert err.value.estimate == 2344561
+    # 2344543 row residues and 2 * 2 * 4 census subtractions
+    assert err.value.estimate == 2344559
 
 
-@pytest.mark.parametrize("n,upto", [(12, 1), (16, 2)])
+# (n, upto) -> enumeration_size of verify(1, n, 2, upto): the row residues
+# are few, the census subtractions are over the default ceiling
+CENSUS_REFUSALS = {(18, 1): 171573267, (20, 2): 951321248}
+
+
+@pytest.mark.parametrize("n,upto", sorted(CENSUS_REFUSALS))
 def test_verify_dirichlet_ceiling_counts_census(n, upto):
-    # the oracle is small here, but the closed form's census runs over n!
+    # the oracle is small here, but the closed form's census inverts over
+    # the 2^(n - 1) subsets of [n - 1]
     with pytest.raises(CeilingExceededError) as err:
         verify_dirichlet(1, n, 2, upto)
-    assert err.value.estimate == enumeration_size(n + 1, n, 2, upto)
-    assert err.value.estimate > factorial(n) * comb(n, 2) > 10**8
+    estimate = CENSUS_REFUSALS[(n, upto)]
+    assert err.value.estimate == estimate == enumeration_size(n + 1, n, 2, upto)
+    assert census_subtractions(n) > 10**8 > estimate - census_subtractions(n)
 
 
 def test_snf_valuations_examples():

@@ -19,6 +19,7 @@ from nilzeta.rational import (
     rf_invert_vars,
     rf_limit_t1,
     rf_series_coeffs,
+    rf_series_work,
 )
 
 ONE = LaurentPoly.one()
@@ -125,6 +126,29 @@ def test_series_heisenberg():
 def test_series_sparse_factor():
     x = RationalFunction(ONE, [(2, 3, 1)])
     assert rf_series_coeffs(x, 2) == [ONE, LaurentPoly.zero(), LaurentPoly.zero()]
+
+
+def test_series_work_bounds_rows():
+    # positive numerators cannot cancel, so every row key is a term; a
+    # factor reads rows 0..upto - b, each at most as full as at the end
+    rng = random.Random(11)
+    for _ in range(40):
+        upto = rng.randrange(0, 9)
+        num = {(rng.randrange(-3, 6), rng.randrange(0, 4)): rng.randrange(1, 4) for _ in range(3)}
+        den = [(rng.randrange(-2, 6), rng.randrange(1, 4), rng.randrange(1, 3)) for _ in range(3)]
+        x = rf(num, den)
+        sizes = [len(c.terms()) for c in rf_series_coeffs(x, upto)]
+        updates, terms = rf_series_work(x, upto)
+        assert terms >= sum(sizes)
+        assert updates >= sum(f.mult * sum(sizes[: max(upto - f.b + 1, 0)]) for f in x.den)
+
+
+def test_series_work_heisenberg_exact():
+    # 1/((1 - t)(1 - q t)(1 - q^2 t^3)): row k holds q^0 .. q^k; the two
+    # factors with b = 1 read rows 0..99, the third rows 0..97
+    x = RationalFunction(ONE, [(0, 1, 1), (1, 1, 1), (2, 3, 1)])
+    assert rf_series_work(x, 100) == (2 * 5050 + 4851, 5151)
+    assert sum(len(c.terms()) for c in rf_series_coeffs(x, 100)) == 5151
 
 
 def test_series_rejects_b_zero_factor():
