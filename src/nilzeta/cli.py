@@ -1,7 +1,7 @@
 """Command-line surface: compute, render, and verify.
 
 Exit codes: 0 on success (or all checks passing), 1 on a verification or
-check failure, 2 on usage errors or a refused oracle run.  All JSON output
+check failure, 2 on usage errors or a refused run.  All JSON output
 is emitted with compact separators and canonical ordering so that repeated
 invocations are byte-identical.  Randomized suites take --seed
 (default 1729); the oracle enumeration ceiling comes from --ceiling or the
@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .combinat import lie_dims, require_prime
-from .igusa import IgusaData, igusa_middle, igusa_permutation, igusa_subset
+from .igusa import IgusaData, census_subtractions, igusa_middle, igusa_permutation, igusa_subset
 from .laurent import LaurentPoly, format_terms, poly_text
 from .liering import (
     b_matrix_direct,
@@ -30,6 +30,7 @@ from .liering import (
     specialize,
 )
 from .oracle import (
+    DEFAULT_CEILING,
     CeilingExceededError,
     LatticeType,
     congruence_index_check,
@@ -437,6 +438,10 @@ def main(argv=None) -> int:
             except ValueError:
                 parser.error(f"NILZETA_ORACLE_CEILING must be an integer, got {env!r}")
     try:
+        # every verb but rep and topo builds the descent census (verify
+        # counts it in its own estimate); refuse it before any work
+        if args.verb not in ("rep", "topo", "verify") and (work := census_subtractions(args.n)) > DEFAULT_CEILING:
+            raise CeilingExceededError(work, DEFAULT_CEILING)
         if args.verb == "ideal":
             print(render_rational(ideal_zeta(args.m, args.n), args.format))
         elif args.verb == "graded":

@@ -9,12 +9,15 @@ denominator prod_j (1 - X_j):
   permutation form:  sum over w in S_n of Y^len(w) * prod_{j in Des(w)} X_j,
                      over the common denominator.
 
-The permutation form never walks S_n.  It needs only the census of S_n by
-(length, descent set), and Stanley's identity (Enumerative Combinatorics I,
-section 1.4) gives that census from the Gaussian multinomials: the
-permutations with descent set inside S have length generating function
-(n choose S)_Y, so Moebius inversion over the subsets of [n-1] yields the
-census in census_subtractions(n) = (n - 1) 2^(n - 2) (C(n, 2) + 1)
+The permutation form never walks S_n.  It needs only the census of S_n as
+a table with one row per descent set S of [n-1]: the length generating
+function beta_S of the permutations with descent set exactly S.  The
+numerator is then sum over S of beta_S(Y) prod_{j in S} X_j, so the X_j
+exponents are summed once per set.  Stanley's identity (Enumerative
+Combinatorics I, section 1.4) gives the table from the Gaussian
+multinomials: the permutations with descent set inside S have length
+generating function (n choose S)_Y, so Moebius inversion over the subsets
+of [n-1] yields it in census_subtractions(n) = (n - 1) 2^(n - 2) (C(n, 2) + 1)
 coefficient subtractions, against n! C(n, 2) comparisons for the walk.
 The walk survives as combinat.permutations_with_stats, the reference the
 tests hold the census to.
@@ -56,7 +59,7 @@ class IgusaData:
 
 def _y_power(data: IgusaData, degree_coeffs: tuple[int, ...]) -> LaurentPoly:
     """Substitute Y = q^y_qexp into a polynomial given by coefficients."""
-    return LaurentPoly({(data.y_qexp * k, 0): c for k, c in enumerate(degree_coeffs) if c})
+    return LaurentPoly(((data.y_qexp * k, 0), c) for k, c in enumerate(degree_coeffs))
 
 
 def _denominator(data: IgusaData):
@@ -66,14 +69,17 @@ def _denominator(data: IgusaData):
 def _subset_sum(data: IgusaData, top: int) -> RationalFunction:
     """Sum over I subset of [top] of (n choose I)_Y * prod_{i in I} X_i
     * prod_{i in [top] - I} (1 - X_i), over the common denominator."""
-    num = LaurentPoly.zero()
-    for mask in range(1 << top):
+
+    def part(mask: int) -> LaurentPoly:
         subset = [i for i in range(1, top + 1) if mask >> (i - 1) & 1]
-        part = _y_power(data, gaussian_multinomial(data.n, subset))
+        out = _y_power(data, gaussian_multinomial(data.n, subset))
         for i in range(1, top + 1):
             a, b = data.x[i - 1]
-            part = part * LaurentPoly({(a, b): 1} if i in subset else {(0, 0): 1, (a, b): -1})
-        num = num + part
+            out = out * LaurentPoly({(a, b): 1} if i in subset else {(0, 0): 1, (a, b): -1})
+        return out
+
+    # one part at a time, merged by the one constructor call
+    num = LaurentPoly(term for mask in range(1 << top) for term in part(mask).terms().items())
     return RationalFunction(num, _denominator(data))
 
 
@@ -95,50 +101,37 @@ def census_subtractions(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _descent_census(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """Number of permutations per (length, descent set) pair, sorted.
+def _descent_census(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per descent set S of [n-1], the number of permutations with descent
+    set exactly S of each length 0..C(n, 2): the pairs (S, beta_S).
 
     Stanley's identity: the length generating function of the permutations
     whose descent set lies inside T is alpha_T = (n choose T)_Y.  Inverting
-    over the Boolean lattice of [n-1], one coordinate at a time, leaves
-    beta_S = sum over T inside S of (-1)^|S - T| alpha_T, the length
-    generating function of the permutations with descent set exactly S.
-    Every list is padded to the C(n, 2) + 1 coefficients of [n]_Y!, so the
-    inversion makes census_subtractions(n) coefficient subtractions.
+    over the Boolean lattice of [n-1], one coordinate j at a time
+    (beta_S -= beta_(S - j) for every S containing j), leaves
+    beta_S = sum over T inside S of (-1)^|S - T| alpha_T.  Every row is
+    padded to the C(n, 2) + 1 coefficients of [n]_Y!, so the inversion makes
+    census_subtractions(n) coefficient subtractions.
     """
     size = comb(n, 2) + 1
-    sets: list[tuple[int, ...]] = [()] * (1 << (n - 1))
-    beta: list[list[int]] = [[]] * (1 << (n - 1))
-    for descents, alpha in gaussian_multinomials(n).items():
-        mask = sum(1 << (j - 1) for j in descents)
-        sets[mask] = descents
-        beta[mask] = list(alpha) + [0] * (size - len(alpha))
-    for bit in (1 << i for i in range(n - 1)):
-        for mask in range(1 << (n - 1)):
-            if mask & bit:
-                beta[mask] = [a - b for a, b in zip(beta[mask], beta[mask ^ bit])]
-    return tuple(sorted(
-        (length, descents, count)
-        for descents, row in zip(sets, beta)
-        for length, count in enumerate(row)
-        if count
-    ))
+    beta = {s: list(alpha) + [0] * (size - len(alpha)) for s, alpha in gaussian_multinomials(n).items()}
+    for j in range(1, n):
+        for s, row in beta.items():
+            if j in s:
+                beta[s] = [a - b for a, b in zip(row, beta[tuple(i for i in s if i != j)])]
+    return tuple((s, tuple(row)) for s, row in beta.items())
 
 
 def igusa_permutation(data: IgusaData) -> RationalFunction:
     """Permutation form: sum over S_n weighted by length and descents."""
-    n = data.n
-    terms: dict[tuple[int, int], int] = {}
-    for length, descents, count in _descent_census(n):
-        qe = data.y_qexp * length
-        te = 0
-        for j in descents:
-            a, b = data.x[j - 1]
-            qe += a
-            te += b
-        key = (qe, te)
-        terms[key] = terms.get(key, 0) + count
-    return RationalFunction(LaurentPoly(terms), _denominator(data))
+    y, x = data.y_qexp, data.x
+    exponents = (
+        (sum(x[j - 1][0] for j in s), sum(x[j - 1][1] for j in s), row)
+        for s, row in _descent_census(data.n)
+    )
+    num = LaurentPoly(((qe + y * length, te), count)
+                      for qe, te, row in exponents for length, count in enumerate(row))
+    return RationalFunction(num, _denominator(data))
 
 
 def igusa_topological(n: int, a, b) -> LinearFactorRational:

@@ -60,7 +60,7 @@ def abelian_zeta(d: int) -> RationalFunction:
     return RationalFunction(LaurentPoly.one(), [(i, 1, 1) for i in range(d)])
 
 
-def _igusa_part(m: int, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> RationalFunction:
+def _igusa_part(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> RationalFunction:
     # X_j uses the data at index n-j: the tuple is passed from i = n-1 down to 0.
     x = tuple((a[n - j], b[n - j]) for j in range(1, n + 1))
     return igusa_permutation(IgusaData(n=n, y_qexp=-1, x=x))
@@ -69,7 +69,7 @@ def _igusa_part(m: int, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> Ratio
 def ideal_zeta(m: int, n: int) -> RationalFunction:
     dims = lie_dims(m, n)
     nd = numerical_data(m, n)
-    return abelian_zeta(dims.d) * _igusa_part(m, n, nd.a, nd.b)
+    return abelian_zeta(dims.d) * _igusa_part(n, nd.a, nd.b)
 
 
 def graded_ideal_zeta(m: int, n: int) -> RationalFunction:
@@ -77,7 +77,7 @@ def graded_ideal_zeta(m: int, n: int) -> RationalFunction:
     dims = lie_dims(m, n)
     nd = numerical_data(m, n)
     graded_a = tuple(i * (n - i) for i in range(n))
-    return abelian_zeta(dims.d) * _igusa_part(m, n, graded_a, nd.b)
+    return abelian_zeta(dims.d) * _igusa_part(n, graded_a, nd.b)
 
 
 def rep_zeta(m: int, n: int) -> tuple[RationalFunction, LinearFactorRational]:

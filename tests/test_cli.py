@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from nilzeta import igusa
 from nilzeta.cli import main
 from nilzeta.combinat import PRIME_BOUND, is_prime
 from nilzeta.rational import rational_dumps, rational_loads
@@ -104,6 +105,29 @@ def test_verify_refuses_census(capsys, n, upto, estimate):
     assert code == 2
     assert out == ""
     assert f"refused: enumeration size {estimate} exceeds the ceiling 100000000" in err
+
+
+@pytest.fixture
+def no_census(monkeypatch):
+    def census(n):
+        raise AssertionError(f"census of degree {n} built")
+
+    monkeypatch.setattr(igusa, "_descent_census", census)
+
+
+@pytest.mark.parametrize("verb", ["ideal", "graded", "reduced", "invariants", "report", "coeffs", "check"])
+def test_closed_form_refuses_census(capsys, no_census, verb):
+    # refused before the census of the 2^17 descent sets is built
+    code, out, err = run_cli(capsys, verb, "1", "18")
+    assert code == 2
+    assert out == ""
+    assert err == "refused: enumeration size 171573248 exceeds the ceiling 100000000\n"
+
+
+@pytest.mark.parametrize("verb", ["rep", "topo"])
+def test_census_free_verbs_take_any_degree(capsys, no_census, verb):
+    code, _, _ = run_cli(capsys, verb, "1", "18")
+    assert code == 0
 
 
 def test_verify_reaches_degree_10(capsys):

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from nilzeta import igusa
-from nilzeta.combinat import permutations_with_stats, poly_mul
+from nilzeta.combinat import gaussian_multinomials, permutations_with_stats, poly_mul
 from nilzeta.igusa import (
     IgusaData,
     _descent_census,
@@ -56,24 +56,24 @@ def test_degree_three_published_numerator():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_descent_census_matches_permutation_walk(n):
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    rows = {descents: [0] * (comb(n, 2) + 1) for descents in gaussian_multinomials(n)}
     for _, length, descents in permutations_with_stats(n):
-        counts[(length, descents)] = counts.get((length, descents), 0) + 1
-    assert _descent_census(n) == tuple((length, des, c) for (length, des), c in sorted(counts.items()))
+        rows[descents][length] += 1
+    census = _descent_census(n)
+    assert isinstance(census, tuple) and all(isinstance(row, tuple) for _, row in census)
+    assert dict(census) == {descents: tuple(row) for descents, row in rows.items()}
+    assert len(census) == 2 ** (n - 1)
 
 
 @pytest.mark.parametrize("n", range(10, 13))
 def test_descent_census_marginals(n):
     census = _descent_census(n)
-    assert sum(c for _, _, c in census) == factorial(n)
+    assert sum(sum(row) for _, row in census) == factorial(n)
     # summed over descent sets: the Mahonian numbers, coefficients of [n]_Y!
     mahonian = (1,)
     for i in range(1, n + 1):
         mahonian = poly_mul(mahonian, (1,) * i)
-    lengths = [0] * len(mahonian)
-    for length, _, c in census:
-        lengths[length] += c
-    assert tuple(lengths) == mahonian
+    assert tuple(map(sum, zip(*(row for _, row in census)))) == mahonian
     # summed over lengths: the Eulerian numbers A(n, k) by their recurrence
     eulerian = [1]
     for size in range(2, n + 1):
@@ -83,8 +83,8 @@ def test_descent_census_marginals(n):
             for k in range(size)
         ]
     descents = [0] * n
-    for _, des, c in census:
-        descents[len(des)] += c
+    for des, row in census:
+        descents[len(des)] += sum(row)
     assert descents == eulerian
 
 
@@ -104,14 +104,16 @@ def test_census_subtractions_counts_the_inversion(n, monkeypatch):
 
 
 def test_form_equivalence_randomized():
+    # Y = q^-1 as in the zeta functions, Y = 1 as in igusa_reduced, and Y = q^2
     rng = random.Random(20240)
-    for n in range(1, 6):
-        for _ in range(20):
-            x = [(rng.randrange(0, 40), rng.randrange(1, 12)) for _ in range(n)]
-            d = data(n, x)
-            subset = igusa_subset(d)
-            assert rf_equal(subset, igusa_permutation(d))
-            assert rf_equal(subset, igusa_middle(d))
+    for y_qexp in (-1, 0, 2):
+        for n in range(1, 6):
+            for _ in range(20):
+                x = [(rng.randrange(0, 40), rng.randrange(1, 12)) for _ in range(n)]
+                d = data(n, x, y_qexp)
+                subset = igusa_subset(d)
+                assert rf_equal(subset, igusa_permutation(d))
+                assert rf_equal(subset, igusa_middle(d))
 
 
 def test_topological_base_cases():

@@ -1,5 +1,6 @@
-"""Hypothesis property tests: series against the expanded denominator,
-q-Pascal and symmetry of Gaussian binomials, inversion, JSON round trip."""
+"""Hypothesis property tests: the LaurentPoly constructor's merge and the
+ring laws, series against the expanded denominator, q-Pascal and symmetry
+of Gaussian binomials, inversion, JSON round trip."""
 
 import pytest
 
@@ -45,6 +46,31 @@ def y_add_shifted(p, q, k):
 
 def truncated(poly, upto):
     return LaurentPoly({key: c for key, c in poly.terms().items() if key[1] <= upto})
+
+
+# a small key range, so that keys repeat
+SMALL_KEYS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@PROPS
+@given(st.lists(st.tuples(SMALL_KEYS, st.integers(-3, 3)), max_size=20), st.integers(0, 20))
+def test_constructor_merges_repeated_keys(pairs, cut):
+    # the first `cut` pairs come back negated, so some keys cancel to zero
+    pairs = pairs + [(key, -c) for key, c in pairs[:cut]]
+    summed: dict[tuple[int, int], int] = {}
+    for key, c in pairs:
+        summed[key] = summed.get(key, 0) + c
+    assert LaurentPoly(pairs).terms() == {key: c for key, c in summed.items() if c}
+
+
+@PROPS
+@given(polys(-6), polys(-6), polys(-6))
+def test_ring_laws(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * LaurentPoly.one() == a == a + LaurentPoly.zero()
+    assert a * LaurentPoly.zero() == LaurentPoly.zero()
 
 
 @PROPS
