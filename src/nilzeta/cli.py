@@ -34,6 +34,7 @@ from .oracle import (
     CeilingExceededError,
     LatticeType,
     congruence_index_check,
+    refuse_census,
     rep_matrix_check,
     verify_dirichlet,
 )
@@ -417,6 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact results (n! of topo, series values at a large prime) can exceed
+    # the default 4,300-digit int-to-str limit; huge inputs are refused by
+    # lower bounds before any such number is formed
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.m < 1 or args.n < 1:
@@ -440,8 +446,10 @@ def main(argv=None) -> int:
     try:
         # every verb but rep and topo builds the descent census (verify
         # counts it in its own estimate); refuse it before any work
-        if args.verb not in ("rep", "topo", "verify") and (work := census_subtractions(args.n)) > DEFAULT_CEILING:
-            raise CeilingExceededError(work, DEFAULT_CEILING)
+        if args.verb not in ("rep", "topo", "verify"):
+            refuse_census(args.n, DEFAULT_CEILING)
+            if (work := census_subtractions(args.n)) > DEFAULT_CEILING:
+                raise CeilingExceededError(work, DEFAULT_CEILING)
         if args.verb == "ideal":
             print(render_rational(ideal_zeta(args.m, args.n), args.format))
         elif args.verb == "graded":

@@ -89,7 +89,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({key: -c for key, c in self._terms.items()})
+        return LaurentPoly((key, -c) for key, c in self._terms.items())
 
     def __sub__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -133,7 +133,7 @@ class LaurentPoly:
 
     def invert_vars(self) -> "LaurentPoly":
         """Substitute q -> 1/q and t -> 1/t simultaneously."""
-        return LaurentPoly({(-eq, -et): c for (eq, et), c in self._terms.items()})
+        return LaurentPoly(((-eq, -et), c) for (eq, et), c in self._terms.items())
 
     def subs_t_one(self) -> "LaurentPoly":
         """Evaluate at t = 1, leaving a Laurent polynomial in q alone."""
@@ -143,13 +143,20 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def value_at_q(self, q_value) -> Fraction:
-        """Evaluate a polynomial in q alone at a concrete value, exactly."""
-        total = Fraction(0)
-        for (eq, et), c in self._terms.items():
-            if et:
-                raise ValueError("value_at_q requires a polynomial in q alone")
-            total += c * Fraction(q_value) ** eq
-        return total
+        """Evaluate a polynomial in q alone at a concrete value a/b, exactly.
+
+        Horner's rule in integers from the top exponent down: after the
+        exponent e, total / scale = sum over e' >= e of c q^(e' - e).
+        """
+        if any(et for _, et in self._terms):
+            raise ValueError("value_at_q requires a polynomial in q alone")
+        q = Fraction(q_value)
+        total, scale, last = 0, 1, None
+        for (eq, _), c in sorted(self._terms.items(), reverse=True):
+            if last is not None:
+                total, scale = total * q.numerator ** (last - eq), scale * q.denominator ** (last - eq)
+            total, last = total + c * scale, eq
+        return Fraction(total, scale) * q ** last if last is not None else Fraction(0)
 
     def constant_value(self) -> int:
         """The value of a constant polynomial (zero polynomial gives 0)."""

@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterator
 
-from .combinat import (compositions_revlex, e_count, gaussian_binomial, gaussian_multinomial,
+from .combinat import (compositions_revlex, e_count, f_count, gaussian_binomial, gaussian_multinomial,
                        lie_dims, require_prime)
 from .igusa import census_subtractions
 from .liering import LieStructure, build_structure, full_commutator_matrix, specialize
@@ -73,9 +73,10 @@ DEFAULT_CEILING = 10**8
 
 class CeilingExceededError(RuntimeError):
     """The enumeration size (see enumeration_size) exceeds the configured
-    ceiling."""
+    ceiling.  The estimate is that size, or the text of a lower bound where
+    forming the size would itself be costly (see refuse_census)."""
 
-    def __init__(self, estimate: int, ceiling: int):
+    def __init__(self, estimate: int | str, ceiling: int):
         super().__init__(
             f"enumeration size {estimate} exceeds the ceiling {ceiling}"
         )
@@ -213,6 +214,29 @@ def enumeration_size(d: int, n: int, p: int, upto: int) -> int:
             products, counts = grown_products, grown_counts
         rows += counts[ku]
     return rows + census_subtractions(n)
+
+
+def refuse_census(n: int, ceiling: int) -> None:
+    """Raise CeilingExceededError when 2^(n - 2) <= census_subtractions(n)
+    already exceeds the ceiling, without forming either."""
+    if n - 2 >= ceiling.bit_length():
+        raise CeilingExceededError(f"at least 2^{n - 2}", ceiling)
+
+
+def _refuse_rows(d: int, p: int, upto: int, ceiling: int) -> None:
+    """Raise CeilingExceededError when one diagonal's row residues already
+    exceed the ceiling: putting all of kU = upto // 2 in the last column
+    gives (d - 1) p^(upto // 2) + 1 of them.  The power is multiplied out
+    only until it passes the ceiling."""
+    if upto < 1:
+        return
+    rows = d - 1
+    for _ in range(upto // 2):
+        if rows >= ceiling:
+            break
+        rows *= p
+    if rows >= ceiling:
+        raise CeilingExceededError(f"at least {d - 1}*{p}^{upto // 2}+1", ceiling)
 
 
 def _row_residue_sets(tables, n: int, comp, p: int, modulus: int) -> list[list[frozenset]]:
@@ -518,11 +542,16 @@ def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
     """Compare series coefficients of the closed form at q = p against the
     enumeration counts for indices p^0 .. p^upto.
 
-    Raises ValueError unless p is prime, and CeilingExceededError when
-    enumeration_size exceeds the ceiling, before any work starts."""
+    Raises ValueError unless p is prime and m, n are positive, and
+    CeilingExceededError when enumeration_size, or a cheap lower bound on
+    it, exceeds the ceiling, before any work starts."""
     require_prime(p)
     if ceiling is None:
         ceiling = DEFAULT_CEILING
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    refuse_census(n, ceiling)
+    _refuse_rows(e_count(m, n) + f_count(m, n), p, upto, ceiling)
     dims = lie_dims(m, n)
     estimate = enumeration_size(dims.d, dims.n, p, upto)
     if estimate > ceiling:

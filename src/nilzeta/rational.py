@@ -207,7 +207,7 @@ def rf_series_coeffs(x: RationalFunction, upto: int) -> list[LaurentPoly]:
                 row = series[k]
                 for eq, c in series[k - f.b].items():
                     row[eq + f.a] = row.get(eq + f.a, 0) + c
-    return [LaurentPoly({(eq, 0): c for eq, c in row.items()}) for row in series]
+    return [LaurentPoly(((eq, 0), c) for eq, c in row.items()) for row in series]
 
 
 def rf_series_work(x: RationalFunction, upto: int) -> tuple[int, int]:
@@ -285,7 +285,7 @@ def rational_to_obj(x: RationalFunction) -> dict:
 
 
 def rational_from_obj(obj: dict) -> RationalFunction:
-    num = LaurentPoly({(int(e["q"]), int(e["t"])): int(e["c"]) for e in obj["num"]})
+    num = LaurentPoly(((int(e["q"]), int(e["t"])), int(e["c"])) for e in obj["num"])
     den = [(int(f["a"]), int(f["b"]), int(f["mult"])) for f in obj["den"]]
     return RationalFunction(num, den)
 

@@ -34,6 +34,7 @@ from nilzeta.zetas import (
     check_functional_equation,
     check_zero_behaviour,
     ideal_zeta,
+    numerical_data,
     reduced_ideal_zeta,
     rep_zeta,
     topological_ideal_zeta,
@@ -149,6 +150,13 @@ def test_criterion_08_igusa_form_equivalence():
             x = tuple((rng.randrange(0, 40), rng.randrange(1, 12)) for _ in range(n))
             data = IgusaData(n=n, y_qexp=-1, x=x)
             ok = ok and rf_equal(igusa_subset(data), igusa_permutation(data))
+    # the paper's X-data, where the subset form is the census's only
+    # independent check above n = 8
+    for m, n in ((2, 10), (1, 12)):
+        nd = numerical_data(m, n)
+        x = tuple((nd.a[n - j], nd.b[n - j]) for j in range(1, n + 1))
+        data = IgusaData(n=n, y_qexp=-1, x=x)
+        ok = ok and rf_equal(igusa_subset(data), igusa_permutation(data))
     elapsed = time.monotonic() - start
     _report(8, "Igusa form equivalence", ok, elapsed)
 

@@ -1,6 +1,7 @@
 """CLI: rendering fixtures, exit codes, JSON round trips, byte stability."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -128,6 +129,39 @@ def test_closed_form_refuses_census(capsys, no_census, verb):
 def test_census_free_verbs_take_any_degree(capsys, no_census, verb):
     code, _, _ = run_cli(capsys, verb, "1", "18")
     assert code == 0
+
+
+def run_subprocess(*argv, timeout):
+    return subprocess.run([sys.executable, "-m", "nilzeta.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("ideal", "1", "15000"), id="ideal-15000"),
+    pytest.param(("ideal", "1", "1000000000"), id="ideal-1e9"),
+    pytest.param(("verify", "1", "15000", "--upto", "1"), id="verify-15000"),
+    pytest.param(("verify", "1", "1000000000", "--upto", "1"), id="verify-1e9"),
+    pytest.param(("verify", "1", "1", "--prime", "1000003", "--upto", "400"), id="verify-p1000003"),
+])
+def test_huge_inputs_refused_by_lower_bounds(argv):
+    # refused before the census count, the dimensions or the exact row
+    # count is formed, with one short message
+    proc = run_subprocess(*argv, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("refused: enumeration size at least ")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 120
+
+
+@pytest.mark.parametrize("argv,digits", [
+    pytest.param(("topo", "1", "1600"), 4301, id="topo-1600"),
+    pytest.param(("coeffs", "1", "1", "--upto", "1000", "--prime", "1000003", "--format", "json"), 6000,
+                 id="coeffs-1000"),
+])
+def test_integers_past_the_str_digit_limit_print(argv, digits):
+    proc = run_subprocess(*argv, timeout=120)
+    assert proc.returncode == 0
+    assert max(len(run) for run in re.findall(r"[0-9]+", proc.stdout)) >= digits
 
 
 def test_verify_reaches_degree_10(capsys):

@@ -116,6 +116,23 @@ def test_form_equivalence_randomized():
                 assert rf_equal(subset, igusa_middle(d))
 
 
+@pytest.mark.parametrize("form", [igusa_subset, igusa_middle])
+def test_subset_forms_make_quadratically_many_products(form, monkeypatch):
+    # the chain walk keeps one partial per least chosen element, so n = 10
+    # costs O(n^2) products rather than one per subset and factor
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    n = 10
+    form(data(n, [(3 * j, j) for j in range(1, n + 1)]))
+    assert 0 < len(calls) <= 2 * n * n
+
+
 def test_topological_base_cases():
     z = igusa_topological(1, (0,), (1,))
     assert z.equal(LinearFactorRational.make(1, (), ((1, 0),)))

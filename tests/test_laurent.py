@@ -1,7 +1,11 @@
 """Laurent polynomial arithmetic: exactness, canonical form."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import nilzeta
 from nilzeta.laurent import LaurentPoly
 
 
@@ -75,3 +79,23 @@ def test_value_at_q():
     assert p.value_at_q(2) == Fraction(9, 2)
     with pytest.raises(ValueError):
         LaurentPoly({(0, 1): 1}).value_at_q(2)
+
+
+def test_no_dict_comprehension_reaches_the_constructor():
+    # a dict comprehension keeps the last of repeated keys; only the
+    # constructor merges them, so it must be handed (key, c) pairs
+    src = Path(nilzeta.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "LaurentPoly"
+                    and any(isinstance(arg, ast.DictComp) for arg in node.args)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_negation_and_inversion_keep_every_term():
+    p = LaurentPoly({(0, 0): 3, (2, -1): -5, (-4, 7): 1})
+    assert (-p).terms() == {(0, 0): -3, (2, -1): 5, (-4, 7): -1}
+    assert p.invert_vars().terms() == {(0, 0): 3, (-2, 1): -5, (4, -7): 1}

@@ -264,3 +264,10 @@ def test_json_round_trip_bit_exact():
     assert obj["num"][0] == {"q": 0, "t": 0, "c": "1"}
     assert obj["den"][0] == {"a": 0, "b": 1, "mult": 9}
     assert rf_equal(rational_from_obj(obj), x)
+
+
+def test_json_load_merges_repeated_terms():
+    x = rational_loads('{"num":[{"q":0,"t":0,"c":"1"},{"q":0,"t":0,"c":"2"}],"den":[]}')
+    assert x.num == LaurentPoly({(0, 0): 3})
+    y = rational_loads('{"num":[{"q":1,"t":0,"c":"4"},{"q":1,"t":0,"c":"-4"}],"den":[]}')
+    assert not y.num
