@@ -21,8 +21,6 @@ from .liering import (
     specialize,
 )
 from .oracle import (
-    AntidiagonalRep,
-    HnfBasis,
     LatticeType,
     congruence_index_check,
     count_graded_ideals,

@@ -17,7 +17,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .combinat import lie_dims, require_prime
+from .combinat import e_count, f_count, lie_dims, require_prime
 from .igusa import IgusaData, census_subtractions, igusa_middle, igusa_permutation, igusa_subset
 from .laurent import LaurentPoly, format_terms, poly_text
 from .liering import (
@@ -56,9 +56,25 @@ from .zetas import (
 
 DEFAULT_SEED = 1729
 # coeffs refuses a series whose rf_series_work bounds exceed these: about
-# 15 s of coefficient updates, or about 200 MB of coefficients
+# 15 s of coefficient updates, or about 200 MB of coefficients.  Every verb
+# but verify also refuses d = e + f above the terms bound, since the closed
+# forms hold O(d) factors and lie_dims sums O(m + n) terms.
 SERIES_UPDATES_BOUND = 10**8
 SERIES_TERMS_BOUND = 10**6
+
+
+def _dims_exceed(m: int, n: int, bound: int) -> bool:
+    """Whether d = e + f exceeds bound, without forming f = C(m + n - 1, n - 1)
+    when it alone does: its partial products C(m + n - 1 - k + i, i), k the
+    smaller of n - 1 and m, at least double at each step, so few are formed
+    before one passes the bound, whatever the size of m and n."""
+    k = min(n - 1, m)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (m + n - 1 - k + i) // i
+        if value > bound:
+            return True
+    return e_count(m, n) + f_count(m, n) > bound
 
 
 def _dumps(obj) -> str:
@@ -321,6 +337,11 @@ def _run_check(args) -> int:
     if not suites:
         print("no suite given", file=sys.stderr)
         return 2
+    if "commat" in suites:
+        # rank_mod over the 2^n + 3^n - 2 specialisations of the e x f matrix
+        work = (2**args.n + 3**args.n - 2) * e_count(args.m, args.n) * f_count(args.m, args.n)
+        if work > DEFAULT_CEILING:
+            raise CeilingExceededError(work, DEFAULT_CEILING)
     all_ok = True
     for suite in suites:
         ok = _SUITES[suite](args)
@@ -450,6 +471,9 @@ def main(argv=None) -> int:
             refuse_census(args.n, DEFAULT_CEILING)
             if (work := census_subtractions(args.n)) > DEFAULT_CEILING:
                 raise CeilingExceededError(work, DEFAULT_CEILING)
+        if args.verb != "verify" and _dims_exceed(args.m, args.n, SERIES_TERMS_BOUND):
+            print(f"refused: d = e + f exceeds {SERIES_TERMS_BOUND}", file=sys.stderr)
+            return 2
         if args.verb == "ideal":
             print(render_rational(ideal_zeta(args.m, args.n), args.format))
         elif args.verb == "graded":

@@ -4,8 +4,10 @@ valuations, and congruence-index checks.
 Finite-index sublattices of Z^dim are parametrized by Hermite normal forms:
 upper-triangular integer matrices with diagonal (p^k_1, ..., p^k_dim) and
 every above-diagonal entry reduced modulo the diagonal entry of its column.
-Ideal counting tests the bracket condition [w, row] in Lambda literally,
-with membership decided by reduction against the HNF rows.
+A basis is the tuple of its rows, the form zlinalg.hnf_mod returns.  Column
+j has j free entries, so hnf_count reads the number of index-p^k forms off
+the x^k coefficient of prod_j 1/(1 - p^j x) without listing a diagonal;
+hnf_enumerate lists the forms themselves, for the naive references.
 
 Because the bracket of anything lands in the central coordinates and the
 center occupies the trailing block of the basis, an HNF of the full ring
@@ -58,6 +60,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb
 from typing import Iterator
 
 from .combinat import (compositions_revlex, e_count, f_count, gaussian_binomial, gaussian_multinomial,
@@ -84,62 +87,34 @@ class CeilingExceededError(RuntimeError):
         self.ceiling = ceiling
 
 
-@dataclass(frozen=True)
-class HnfBasis:
-    """Row basis of a finite-index sublattice of Z^dim, in Hermite form."""
-
-    dim: int
-    matrix: tuple[tuple[int, ...], ...]
-
-    def index_exponent(self, p: int) -> int:
-        if p < 2:
-            raise ValueError("p must be at least 2")
-        k = 0
-        det = 1
-        for i in range(self.dim):
-            det *= self.matrix[i][i]
-        while det % p == 0:
-            det //= p
-            k += 1
-        if det != 1:
-            raise ValueError("determinant is not a power of p")
-        return k
-
-
-def _hnf_rows(comp, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every HNF basis with diagonal (p^k for k in comp), as row tuples."""
-    dim = len(comp)
-    diag = [p**ki for ki in comp]
-    column_choices = [range(diag[j]) for j in range(dim) for _ in range(j)]
-    for flat in iproduct(*column_choices):
-        rows = [[0] * dim for _ in range(dim)]
-        pos = 0
-        for j in range(dim):
-            rows[j][j] = diag[j]
-            for i in range(j):
-                rows[i][j] = flat[pos]
-                pos += 1
-        yield tuple(tuple(r) for r in rows)
-
-
-def hnf_enumerate(dim: int, p: int, k: int) -> Iterator[HnfBasis]:
-    """Yield every index-p^k sublattice of Z^dim exactly once."""
+def hnf_enumerate(dim: int, p: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield every index-p^k sublattice of Z^dim exactly once, as the row
+    tuples of its Hermite normal form."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     for comp in compositions_revlex(k, dim)[::-1]:
-        for rows in _hnf_rows(comp, p):
-            yield HnfBasis(dim=dim, matrix=rows)
+        diag = [p**kj for kj in comp]
+        for flat in iproduct(*(range(diag[j]) for j in range(dim) for _ in range(j))):
+            rows = [[0] * dim for _ in range(dim)]
+            pos = 0
+            for j in range(dim):
+                rows[j][j] = diag[j]
+                for i in range(j):
+                    rows[i][j] = flat[pos]
+                    pos += 1
+            yield tuple(tuple(r) for r in rows)
 
 
 def hnf_count(dim: int, p: int, k: int) -> int:
-    """Number of index-p^k sublattices of Z^dim, by the same parametrization."""
-    total = 0
-    for comp in compositions_revlex(k, dim):
-        size = 1
-        for j, kj in enumerate(comp):
-            size *= p ** (kj * j)
-        total += size
-    return total
+    """Number of index-p^k sublattices of Z^dim: the x^k coefficient of
+    prod_(j < dim) 1/(1 - p^j x), one factor at a time (module docstring)."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    coeffs = [1] + [0] * k
+    for j in range(dim):
+        for s in range(1, k + 1):
+            coeffs[s] += p**j * coeffs[s - 1]
+    return coeffs[k]
 
 
 def hnf_contains(matrix, v) -> bool:
@@ -197,22 +172,19 @@ def enumeration_size(d: int, n: int, p: int, upto: int) -> int:
     (igusa.census_subtractions).
 
     The diagonals are not listed, since there are C(d + upto - 1, upto - 1)
-    of them: the row term is summed column by column from the right, over
-    the suffixes of each sum s, keeping the total of their products and the
-    total of their rows' residue counts."""
+    of them.  For each kU let W(x) = sum_k min(p^k, p^(upto - kU)) x^k, and
+    give row i its L = d - 1 - i columns on the right.  Those columns, with
+    exponents summing to s, contribute [x^s] W(x)^L in total, and the other
+    d - L columns take the remaining kU - s in C(kU - s + d - 1 - L, d - 1 - L)
+    ways.  So the row term is the sum over kU, L and s of
+    C(kU - s + d - 1 - L, d - 1 - L) [x^s] W(x)^L."""
     rows = 0
     for ku in range(upto):
-        cap = upto - ku
-        products, counts = {0: 1}, {0: 0}
-        for _ in range(d):
-            grown_products: dict[int, int] = {}
-            grown_counts: dict[int, int] = {}
-            for s, product in products.items():
-                for k in range(ku - s + 1):
-                    grown_products[s + k] = grown_products.get(s + k, 0) + product * p ** min(k, cap)
-                    grown_counts[s + k] = grown_counts.get(s + k, 0) + counts[s] + product
-            products, counts = grown_products, grown_counts
-        rows += counts[ku]
+        weights = [p ** min(k, upto - ku) for k in range(ku + 1)]
+        power = [1] + [0] * ku  # W(x)^L up to x^kU
+        for left in range(d, 0, -1):  # left = d - L
+            rows += sum(comb(ku - s + left - 1, left - 1) * c for s, c in enumerate(power))
+            power = [sum(power[t] * weights[s - t] for t in range(s + 1)) for s in range(ku + 1)]
     return rows + census_subtractions(n)
 
 
@@ -346,8 +318,8 @@ def count_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
     count = 0
     for basis in hnf_enumerate(h, p, k):
         if all(
-            hnf_contains(basis.matrix, (0,) * d + v)
-            for row in basis.matrix
+            hnf_contains(basis, (0,) * d + v)
+            for row in basis
             for v in _bracket_vectors(tables, n, row[:d])
         ):
             count += 1
@@ -361,9 +333,9 @@ def count_graded_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
     count = 0
     for k1 in range(k + 1):
         for u in hnf_enumerate(d, p, k1):
-            vectors = [v for row in u.matrix for v in _bracket_vectors(tables, n, row)]
+            vectors = [v for row in u for v in _bracket_vectors(tables, n, row)]
             for t in hnf_enumerate(n, p, k - k1):
-                if all(hnf_contains(t.matrix, v) for v in vectors):
+                if all(hnf_contains(t, v) for v in vectors):
                     count += 1
     return count
 
@@ -431,7 +403,7 @@ def maximal_lattice_census(n: int, p: int, rmax: int) -> dict[LatticeType, int]:
     counts: dict[LatticeType, int] = {}
     for k in range(bound + 1):
         for basis in hnf_enumerate(n, p, k):
-            vals = snf_valuations(basis.matrix, p, k + 1)
+            vals = snf_valuations(basis, p, k + 1)
             if vals[-1] > k:
                 raise AssertionError("index-p^k basis produced a divisor beyond p^k")
             if vals[0] != 0:
@@ -446,20 +418,10 @@ def maximal_lattice_census(n: int, p: int, rmax: int) -> dict[LatticeType, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class AntidiagonalRep:
-    """Coset representative: zero above the antidiagonal, units on it,
-    entries taken modulo p^precision."""
-
-    n: int
-    matrix: tuple[tuple[int, ...], ...]
-    precision: int
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.matrix[i][j] for i in range(self.n))
-
-
-def sample_antidiagonal(n: int, p: int, precision: int, rng: random.Random) -> AntidiagonalRep:
+def sample_antidiagonal(n: int, p: int, precision: int,
+                        rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """Rows of a coset representative: zero above the antidiagonal, units on
+    it, entries taken modulo p^precision."""
     modulus = p**precision
     rows = []
     for i in range(n):
@@ -473,7 +435,7 @@ def sample_antidiagonal(n: int, p: int, precision: int, rng: random.Random) -> A
         for j in range(anti + 1, n):
             row[j] = rng.randrange(modulus)
         rows.append(tuple(row))
-    return AntidiagonalRep(n=n, matrix=tuple(rows), precision=precision)
+    return tuple(rows)
 
 
 def congruence_index_check(m: int, n: int, lattice_type: LatticeType, p: int,
@@ -498,7 +460,7 @@ def congruence_index_check(m: int, n: int, lattice_type: LatticeType, p: int,
         scale = p ** sum(
             jump for pos, jump in zip(lattice_type.positions, lattice_type.jumps) if pos >= j
         )
-        block = specialize(commutator, rep.column(j - 1))
+        block = specialize(commutator, tuple(row[j - 1] for row in rep))
         blocks.append([[scale * v for v in row] for row in block])
     concat = [sum((blocks[j][i] for j in range(n)), []) for i in range(dims.d)]
     # Valuations >= r add nothing to the index; the trivial type (r = 0) uses 1.

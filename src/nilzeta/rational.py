@@ -81,10 +81,6 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(LaurentPoly.one())
-
     @property
     def num(self) -> LaurentPoly:
         return self._num

@@ -39,21 +39,24 @@ class LinearFactorRational:
     @classmethod
     def make(cls, const, num_factors=(), den_factors=()) -> "LinearFactorRational":
         c = Fraction(const)
+        # the factors' contents are multiplied out as integers and reach the
+        # constant in one division, which reduces it once, not once per factor
+        up = down = 1
         nf = []
         for b, a in num_factors:
             if b <= 0:
                 raise ValueError("leading coefficient of a linear factor must be positive")
             g = gcd(b, a)
-            c *= g
+            up *= g
             nf.append((b // g, a // g))
         df = []
         for b, a in den_factors:
             if b <= 0:
                 raise ValueError("leading coefficient of a linear factor must be positive")
             g = gcd(b, a)
-            c /= g
+            down *= g
             df.append((b // g, a // g))
-        return cls(c, tuple(nf), tuple(df))
+        return cls(c * up / down, tuple(nf), tuple(df))
 
     def degree(self) -> int:
         if self.const == 0:
@@ -69,17 +72,6 @@ class LinearFactorRational:
         left = tuple(an * bd * c for c in left) + (0,) * (width - len(left))
         right = tuple(bn * ad * c for c in right) + (0,) * (width - len(right))
         return left == right
-
-    def eval(self, s) -> Fraction:
-        value = self.const
-        for b, a in self.num_factors:
-            value *= b * Fraction(s) - a
-        for b, a in self.den_factors:
-            factor = b * Fraction(s) - a
-            if factor == 0:
-                raise ZeroDivisionError(f"pole at s = {s}")
-            value /= factor
-        return value
 
     def scaled_infinity_limit(self, power: int) -> Fraction:
         """Exact limit of s**power * self as s -> oo; requires degree == -power."""

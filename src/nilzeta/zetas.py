@@ -45,12 +45,14 @@ class NumericalData:
 def numerical_data(m: int, n: int) -> NumericalData:
     dims = lie_dims(m, n)
     a = tuple((n - i) * (i + dims.d) for i in range(n))
-    b = tuple(
-        n - i + dims.e + sum(e_count(m, j) for j in range(i + 1, n + 1)) for i in range(n)
-    )
+    b = [0] * n
+    tail = 0  # sum of e(m, j) over j > i, one pass from the right
+    for i in range(n - 1, -1, -1):
+        tail += e_count(m, i + 1)
+        b[i] = n - i + dims.e + tail
     if a[0] != dims.d * n or b[0] != dims.h:
         raise AssertionError("index data fails the (d*n, h) anchor")
-    return NumericalData(m=m, n=n, a=a, b=b)
+    return NumericalData(m=m, n=n, a=a, b=tuple(b))
 
 
 def abelian_zeta(d: int) -> RationalFunction:

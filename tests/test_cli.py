@@ -153,6 +153,46 @@ def test_huge_inputs_refused_by_lower_bounds(argv):
     assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 120
 
 
+@pytest.mark.parametrize("argv", [
+    # 3^17 rank_mod calls
+    pytest.param(("check", "1", "17", "--suite", "commat"), id="commat-1-17"),
+    # d = 10,000,200,001 (a MemoryError traceback) and d = 1,002,001
+    pytest.param(("ideal", "100000", "3"), id="ideal-100000-3"),
+    pytest.param(("ideal", "1000", "3"), id="ideal-1000-3"),
+    # lie_dims would sum 10^8 binomials
+    pytest.param(("rep", "1", "100000000"), id="rep-1e8"),
+])
+def test_large_work_refused(argv):
+    proc = run_subprocess(*argv, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("refused: ") and proc.stderr.count("\n") == 1
+
+
+def test_commat_charge_refuses_before_any_suite(capsys):
+    # (2^9 + 3^9 - 2) * e * f = 20193 * 45 * 165 specialised entries
+    code, out, err = run_cli(capsys, "check", "3", "9", "--suite", "funceq,commat")
+    assert code == 2
+    assert out == ""
+    assert err == "refused: enumeration size 149933025 exceeds the ceiling 100000000\n"
+
+
+def test_dims_refusal_bound(capsys):
+    # d = 811,801 is taken and d = 1,002,001 refused
+    code, out, _ = run_cli(capsys, "rep", "900", "3")
+    assert code == 0 and "t^405450" in out
+    assert run_cli(capsys, "rep", "1000", "3") == (2, "", "refused: d = e + f exceeds 1000000\n")
+
+
+def test_topo_reaches_degree_20000():
+    # needs numerical_data in O(n), and one reduction of the n! constant
+    # rather than one per linear factor
+    proc = run_subprocess("topo", "1", "20000", timeout=30)
+    assert proc.returncode == 0
+    # the d + n = 40,001 linear factors and the denominator's bracket
+    assert proc.stdout.count("(") == 40002
+
+
 @pytest.mark.parametrize("argv,digits", [
     pytest.param(("topo", "1", "1600"), 4301, id="topo-1600"),
     pytest.param(("coeffs", "1", "1", "--upto", "1000", "--prime", "1000003", "--format", "json"), 6000,

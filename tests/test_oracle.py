@@ -3,6 +3,8 @@
 import random
 import subprocess
 import sys
+import time
+from math import prod
 
 import pytest
 
@@ -12,10 +14,10 @@ from nilzeta import oracle
 from nilzeta.liering import abelian_structure, build_structure, rank_mod
 from nilzeta.oracle import (
     CeilingExceededError,
-    HnfBasis,
     LatticeType,
     _bracket_tables,
     _row_residue_sets,
+    _u_diagonals,
     congruence_index_check,
     count_graded_ideals,
     count_graded_ideals_naive,
@@ -47,14 +49,14 @@ def test_hnf_enumerate_small_counts():
 def test_hnf_enumerate_distinct_and_canonical():
     seen = set()
     for basis in hnf_enumerate(3, 2, 3):
-        assert basis.index_exponent(2) == 3
+        assert basis[0][0] * basis[1][1] * basis[2][2] == 2**3
         for i in range(3):
             for j in range(3):
                 if i > j:
-                    assert basis.matrix[i][j] == 0
+                    assert basis[i][j] == 0
                 elif i < j:
-                    assert 0 <= basis.matrix[i][j] < basis.matrix[j][j]
-        seen.add(basis.matrix)
+                    assert 0 <= basis[i][j] < basis[j][j]
+        seen.add(basis)
     assert len(seen) == hnf_count(3, 2, 3)
 
 
@@ -70,6 +72,18 @@ def test_hnf_count_matches_abelian_series(dim, p):
     coeffs = rf_series_coeffs(abelian_zeta(dim), 4)
     for k in range(5):
         assert hnf_count(dim, p, k) == coeffs[k].value_at_q(p)
+
+
+def test_hnf_count_lists_no_composition(monkeypatch):
+    # (105, 2, 4) has C(108, 4) = 5,359,095 diagonal compositions
+    def compositions(total, n):
+        raise AssertionError("diagonal compositions listed")
+
+    monkeypatch.setattr(oracle, "compositions_revlex", compositions)
+    start = time.perf_counter()
+    count = hnf_count(105, 2, 4)
+    assert time.perf_counter() - start < 0.1
+    assert count == rf_series_coeffs(abelian_zeta(105), 4)[4].value_at_q(2)
 
 
 def test_hnf_contains():
@@ -164,6 +178,18 @@ def test_enumeration_size_counts_row_residues(m, n, p, upto, rows):
     assert visited == rows == enumeration_size(d, n, p, upto) - census_subtractions(n)
 
 
+def test_enumeration_size_row_sum_matches_diagonals():
+    # the closed sum over W(x)^L against the row products of every diagonal
+    for d in range(1, 9):
+        for p in (2, 3, 5):
+            for upto in range(7):
+                rows = 0
+                for comp in _u_diagonals(d, upto):
+                    cap = p ** (upto - sum(comp))
+                    rows += sum(prod(min(p**kj, cap) for kj in comp[i + 1:]) for i in range(d))
+                assert enumeration_size(d, 2, p, upto) - census_subtractions(2) == rows
+
+
 def test_enumeration_size_does_not_list_diagonals(monkeypatch):
     # (6, 6) has d = 714: listing the diagonals of kU <= 2 would hold
     # 255,970 tuples of 714 entries before the run could be refused
@@ -191,8 +217,8 @@ def test_row_residues_parametrise_u(m, n, p, upto):
             lifted += size * p ** sum(j * max(kj - r, 0) for j, kj in enumerate(comp))
         # independently: distinct (diagonal, entries mod p^r) over all HNFs
         for basis in hnf_enumerate(d, p, ku):
-            diagonal = tuple(basis.matrix[i][i] for i in range(d))
-            residues.add((diagonal, tuple(tuple(x % p**r for x in row) for row in basis.matrix)))
+            diagonal = tuple(basis[i][i] for i in range(d))
+            residues.add((diagonal, tuple(tuple(x % p**r for x in row) for row in basis)))
     assert tuples == len(residues)
     assert lifted == sum(hnf_count(d, p, ku) for ku in range(upto))
 
@@ -208,7 +234,7 @@ def test_subgroup_count_matches_tail_containment():
         lam = [v for v in snf_valuations(hnf_mod(vectors, n, p, r), p, r) if v]
         for kt in range(1, r + 1):
             if (n, p, kt) not in tails:
-                tails[(n, p, kt)] = [t.matrix for t in hnf_enumerate(n, p, kt)]
+                tails[(n, p, kt)] = list(hnf_enumerate(n, p, kt))
             containing = sum(
                 all(hnf_contains(t, v) for v in generators) for t in tails[(n, p, kt)]
             )
@@ -300,12 +326,6 @@ def test_snf_valuations_rejects_p_below_two(p):
         snf_valuations([[2]], p, 1)
 
 
-@pytest.mark.parametrize("p", [1, 0, -3])
-def test_index_exponent_rejects_p_below_two(p):
-    with pytest.raises(ValueError):
-        HnfBasis(1, ((2,),)).index_exponent(p)
-
-
 def test_snf_valuations_rectangular():
     vals = snf_valuations([[2, 0, 0, 4], [0, 3, 0, 6]], 2, 3)
     assert vals == (0, 1)  # no zero divisor: no entry equals the precision
@@ -351,7 +371,7 @@ def test_census_totals_against_direct_maximality(n, p):
         direct = 0
         truncated = 0
         for basis in hnf_enumerate(n, p, k):
-            vals = snf_valuations(basis.matrix, p, k + 1)
+            vals = snf_valuations(basis, p, k + 1)
             if vals[0] != 0:
                 continue
             direct += 1
@@ -368,9 +388,9 @@ def test_antidiagonal_shape():
     rep = sample_antidiagonal(4, 3, 3, rng)
     for i in range(4):
         anti = 4 - 1 - i
-        assert rep.matrix[i][anti] % 3 != 0
+        assert rep[i][anti] % 3 != 0
         for j in range(anti):
-            assert rep.matrix[i][j] == 0
+            assert rep[i][j] == 0
 
 
 def test_congruence_trivial_type():

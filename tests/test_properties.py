@@ -1,6 +1,6 @@
 """Hypothesis property tests: the LaurentPoly constructor's merge and the
-ring laws, series against the expanded denominator, q-Pascal and symmetry
-of Gaussian binomials, inversion, JSON round trip."""
+ring laws, series against the expanded denominator, series multiplicativity,
+q-Pascal and symmetry of Gaussian binomials, inversion, JSON round trip."""
 
 import pytest
 
@@ -83,6 +83,15 @@ def test_series_times_denominator_is_numerator(num, den, upto):
     for f in x.den:
         product = product * f.expanded()
     assert truncated(product, upto) == truncated(num, upto)
+
+
+@PROPS
+@given(polys(0), factors(1), polys(0), factors(1), st.integers(0, 8))
+def test_series_of_product_is_cauchy_product(num_x, den_x, num_y, den_y, upto):
+    x, y = RationalFunction(num_x, den_x), RationalFunction(num_y, den_y)
+    sx, sy = rf_series_coeffs(x, upto), rf_series_coeffs(y, upto)
+    cauchy = [sum((sx[i] * sy[k - i] for i in range(k + 1)), LaurentPoly.zero()) for k in range(upto + 1)]
+    assert rf_series_coeffs(x * y, upto) == cauchy
 
 
 @PROPS
