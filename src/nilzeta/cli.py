@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -57,10 +58,21 @@ from .zetas import (
 DEFAULT_SEED = 1729
 # coeffs refuses a series whose rf_series_work bounds exceed these: about
 # 15 s of coefficient updates, or about 200 MB of coefficients.  Every verb
-# but verify also refuses d = e + f above the terms bound, since the closed
-# forms hold O(d) factors and lie_dims sums O(m + n) terms.
+# also refuses d = e + f above the terms bound, since the closed forms hold
+# O(d) factors and lie_dims sums O(m + n) terms.  topo refuses an n! of more
+# digits than its bound, since int-to-str is quadratic in the digits.
 SERIES_UPDATES_BOUND = 10**8
 SERIES_TERMS_BOUND = 10**6
+FACTORIAL_DIGITS_BOUND = 10**5
+
+
+class _Refused(Exception):
+    """A run refused before its work; main prints the message and exits 2."""
+
+
+def _factorial_digits(n: int) -> int:
+    """The decimal length of n!, estimated from lgamma without forming n!."""
+    return int(math.lgamma(n + 1) / math.log(10)) + 1
 
 
 def _dims_exceed(m: int, n: int, bound: int) -> bool:
@@ -179,77 +191,59 @@ def linear_rational_obj(x: LinearFactorRational) -> dict:
 
 
 def render_rational(x: RationalFunction, fmt: str, y_variable: bool = False) -> str:
-    if fmt == "json":
-        return _dumps(rational_to_obj(x))
+    """Text, or LaTeX for fmt "latex"; the JSON form is chosen in _render."""
     if fmt == "latex":
         return rational_latex(x, y_variable)
     return rational_text(x, "Y" if y_variable else "t")
 
 
 def render_linear_rational(x: LinearFactorRational, fmt: str) -> str:
-    if fmt == "json":
-        return _dumps(linear_rational_obj(x))
+    """Text, or LaTeX for fmt "latex"; the JSON form is chosen in _render."""
     if fmt == "latex":
         return linear_rational_latex(x)
     return linear_rational_text(x)
 
 
-def invariants_obj(m: int, n: int) -> dict:
-    dims = lie_dims(m, n)
-    nd = numerical_data(m, n)
-    alpha, beta = analytic_invariants(m, n)
-    _, mu = reduced_ideal_zeta(m, n)
-    return {
-        "e": dims.e,
-        "f": dims.f,
-        "d": dims.d,
-        "h": dims.h,
-        "a": list(nd.a),
-        "b": list(nd.b),
-        "alpha": alpha,
-        "beta": fraction_str(beta),
-        "mu": fraction_str(mu),
-    }
+def _render(value, fmt: str, y_variable: bool = False):
+    """One value in its JSON-ready form for json, else as its text or LaTeX
+    string; other values (integers, lists, dicts) pass through."""
+    if isinstance(value, RationalFunction):
+        return rational_to_obj(value) if fmt == "json" else render_rational(value, fmt, y_variable)
+    if isinstance(value, LinearFactorRational):
+        return linear_rational_obj(value) if fmt == "json" else render_linear_rational(value, fmt)
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    return value
 
 
-def report_obj(report: ZetaReport) -> dict:
-    return {
-        "m": report.dims.m,
-        "n": report.dims.n,
-        "dims": {"e": report.dims.e, "f": report.dims.f, "d": report.dims.d, "h": report.dims.h},
-        "data": {"a": list(report.data.a), "b": list(report.data.b)},
-        "ideal": rational_to_obj(report.ideal),
-        "graded": rational_to_obj(report.graded),
-        "rep_local": rational_to_obj(report.rep_local),
-        "rep_topological": linear_rational_obj(report.rep_topological),
-        "topological": linear_rational_obj(report.topological),
-        "reduced": rational_to_obj(report.reduced),
-        "mu": fraction_str(report.mu),
-        "alpha": report.alpha,
-        "beta": fraction_str(report.beta),
-    }
+def _render_fields(fields: dict, fmt: str, line="{}: {}".format) -> str:
+    """A verb's fields, each rendered once: one JSON object for json, else
+    one line per field."""
+    # the reduced zeta function is written in Y, under either field name
+    rendered = {key: _render(value, fmt, y_variable=key in ("fn", "reduced"))
+                for key, value in fields.items()}
+    if fmt == "json":
+        return _dumps(rendered)
+    return "\n".join(line(key, value) for key, value in rendered.items())
+
+
+def _dims_fields(dims, data) -> tuple[dict, dict]:
+    """The dimensions (e, f, d, h) and the numerical data (a, b) as fields."""
+    return ({"e": dims.e, "f": dims.f, "d": dims.d, "h": dims.h},
+            {"a": list(data.a), "b": list(data.b)})
 
 
 def render_report(report: ZetaReport, fmt: str) -> str:
+    pair = {"m": report.dims.m, "n": report.dims.n}
+    dims, data = _dims_fields(report.dims, report.data)
+    # every field after the dimensions and the data, in declaration order
+    fields = {key: value for key, value in vars(report).items() if key not in ("dims", "data")}
     if fmt == "json":
-        return _dumps(report_obj(report))
-    dims = report.dims
-    lines = [] if fmt == "latex" else [
-        f"m={dims.m} n={dims.n} e={dims.e} f={dims.f} d={dims.d} h={dims.h}",
-        f"a={list(report.data.a)} b={list(report.data.b)}",
-    ]
-    lines += [
-        f"ideal: {render_rational(report.ideal, fmt)}",
-        f"graded: {render_rational(report.graded, fmt)}",
-        f"rep_local: {render_rational(report.rep_local, fmt)}",
-        f"rep_topological: {render_linear_rational(report.rep_topological, fmt)}",
-        f"topological: {render_linear_rational(report.topological, fmt)}",
-        f"reduced: {render_rational(report.reduced, fmt, y_variable=True)}",
-        f"mu: {fraction_str(report.mu)}",
-        f"alpha: {report.alpha}",
-        f"beta: {fraction_str(report.beta)}",
-    ]
-    return "\n".join(lines)
+        return _render_fields({**pair, "dims": dims, "data": data, **fields}, fmt)
+    # the text form opens with the pair, its dimensions and its data
+    header = [" ".join(f"{key}={value}" for key, value in group.items())
+              for group in ({**pair, **dims}, data)]
+    return "\n".join((header if fmt == "text" else []) + [_render_fields(fields, fmt)])
 
 
 def _check_igusa(m: int, n: int, seed: int) -> bool:
@@ -370,24 +364,18 @@ def _run_coeffs(args) -> int:
     zeta = graded_ideal_zeta(args.m, args.n) if args.graded else ideal_zeta(args.m, args.n)
     updates, terms = rf_series_work(zeta, args.upto)
     if updates > SERIES_UPDATES_BOUND or terms > SERIES_TERMS_BOUND:
-        print(f"refused: series of up to {updates} updates and {terms} terms exceeds the bounds "
-              f"{SERIES_UPDATES_BOUND} and {SERIES_TERMS_BOUND}", file=sys.stderr)
-        return 2
-    coeffs = rf_series_coeffs(zeta, args.upto)
-    if args.format == "json":
-        out = []
-        for k, poly in enumerate(coeffs):
-            entry = {"k": k, "terms": [{"q": eq, "c": str(c)} for (eq, _), c in poly.sorted_terms()]}
-            if args.prime is not None:
-                entry["value"] = str(poly.value_at_q(args.prime).numerator)
-            out.append(entry)
-        print(_dumps({"coeffs": out}))
-        return 0
-    for k, poly in enumerate(coeffs):
-        line = f"k={k}: {poly_text(poly)}"
-        if args.prime is not None:
-            line += f" = {poly.value_at_q(args.prime).numerator} at q={args.prime}"
-        print(line)
+        raise _Refused(f"series of up to {updates} updates and {terms} terms exceeds the bounds "
+                       f"{SERIES_UPDATES_BOUND} and {SERIES_TERMS_BOUND}")
+    rows = []
+    for k, poly in enumerate(rf_series_coeffs(zeta, args.upto)):
+        value = None if args.prime is None else poly.value_at_q(args.prime).numerator
+        if args.format == "json":
+            terms = [{"q": eq, "c": str(c)} for (eq, _), c in poly.sorted_terms()]
+            rows.append({"k": k, "terms": terms} | ({} if value is None else {"value": str(value)}))
+        else:
+            at_p = "" if value is None else f" = {value} at q={args.prime}"
+            rows.append(f"k={k}: {poly_text(poly)}{at_p}")
+    print(_dumps({"coeffs": rows}) if args.format == "json" else "\n".join(rows))
     return 0
 
 
@@ -458,52 +446,48 @@ def main(argv=None) -> int:
     if args.verb == "verify":
         if args.threads < 1:
             parser.error("--threads must be at least 1")
-        env = os.environ.get("NILZETA_ORACLE_CEILING")
+        source, env = "--ceiling", os.environ.get("NILZETA_ORACLE_CEILING")
         if args.ceiling is None and env:
+            source = "NILZETA_ORACLE_CEILING"
             try:
                 args.ceiling = int(env)
             except ValueError:
                 parser.error(f"NILZETA_ORACLE_CEILING must be an integer, got {env!r}")
+        if args.ceiling is None:
+            args.ceiling = DEFAULT_CEILING
+        if args.ceiling < 0:
+            parser.error(f"{source} must be nonnegative, got {args.ceiling}")
     try:
         # every verb but rep and topo builds the descent census (verify
-        # counts it in its own estimate); refuse it before any work
-        if args.verb not in ("rep", "topo", "verify"):
-            refuse_census(args.n, DEFAULT_CEILING)
-            if (work := census_subtractions(args.n)) > DEFAULT_CEILING:
+        # counts it in its own estimate, against its own ceiling); refuse
+        # it, and d = e + f above the terms bound, before any work
+        if args.verb not in ("rep", "topo"):
+            refuse_census(args.n, args.ceiling if args.verb == "verify" else DEFAULT_CEILING)
+            if args.verb != "verify" and (work := census_subtractions(args.n)) > DEFAULT_CEILING:
                 raise CeilingExceededError(work, DEFAULT_CEILING)
-        if args.verb != "verify" and _dims_exceed(args.m, args.n, SERIES_TERMS_BOUND):
-            print(f"refused: d = e + f exceeds {SERIES_TERMS_BOUND}", file=sys.stderr)
-            return 2
-        if args.verb == "ideal":
-            print(render_rational(ideal_zeta(args.m, args.n), args.format))
-        elif args.verb == "graded":
-            print(render_rational(graded_ideal_zeta(args.m, args.n), args.format))
+        if _dims_exceed(args.m, args.n, SERIES_TERMS_BOUND):
+            raise _Refused(f"d = e + f exceeds {SERIES_TERMS_BOUND}")
+        if args.verb == "topo" and (digits := _factorial_digits(args.n)) > FACTORIAL_DIGITS_BOUND:
+            raise _Refused(f"n! of about {digits} digits exceeds {FACTORIAL_DIGITS_BOUND} digits")
+        if args.verb in ("ideal", "graded", "topo"):
+            zeta = {"ideal": ideal_zeta, "graded": graded_ideal_zeta,
+                    "topo": topological_ideal_zeta}[args.verb]
+            rendered = _render(zeta(args.m, args.n), args.format)
+            print(_dumps(rendered) if args.format == "json" else rendered)
         elif args.verb == "rep":
             local, topological = rep_zeta(args.m, args.n)
-            if args.format == "json":
-                print(_dumps({
-                    "local": rational_to_obj(local),
-                    "topological": linear_rational_obj(topological),
-                }))
-            else:
-                print(f"local: {render_rational(local, args.format)}")
-                print(f"topological: {render_linear_rational(topological, args.format)}")
-        elif args.verb == "topo":
-            print(render_linear_rational(topological_ideal_zeta(args.m, args.n), args.format))
+            print(_render_fields({"local": local, "topological": topological}, args.format))
         elif args.verb == "reduced":
             fn, mu = reduced_ideal_zeta(args.m, args.n)
-            if args.format == "json":
-                print(_dumps({"fn": rational_to_obj(fn), "mu": fraction_str(mu)}))
-            else:
-                print(render_rational(fn, args.format, y_variable=True))
-                print(f"mu: {fraction_str(mu)}")
+            # the function prints without a label
+            print(_render_fields({"fn": fn, "mu": mu}, args.format,
+                                 lambda key, value: value if key == "fn" else f"{key}: {value}"))
         elif args.verb == "invariants":
-            obj = invariants_obj(args.m, args.n)
-            if args.format == "json":
-                print(_dumps(obj))
-            else:
-                for key, value in obj.items():
-                    print(f"{key}={value}")
+            dims, data = _dims_fields(lie_dims(args.m, args.n), numerical_data(args.m, args.n))
+            alpha, beta = analytic_invariants(args.m, args.n)
+            _, mu = reduced_ideal_zeta(args.m, args.n)
+            fields = {**dims, **data, "alpha": alpha, "beta": beta, "mu": mu}
+            print(_render_fields(fields, args.format, "{}={}".format))
         elif args.verb == "report":
             print(render_report(zeta_report(args.m, args.n), args.format))
         elif args.verb == "coeffs":
@@ -512,7 +496,7 @@ def main(argv=None) -> int:
             return _run_verify(args)
         elif args.verb == "check":
             return _run_check(args)
-    except CeilingExceededError as exc:
+    except (CeilingExceededError, _Refused) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -504,14 +504,16 @@ def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
     """Compare series coefficients of the closed form at q = p against the
     enumeration counts for indices p^0 .. p^upto.
 
-    Raises ValueError unless p is prime and m, n are positive, and
-    CeilingExceededError when enumeration_size, or a cheap lower bound on
-    it, exceeds the ceiling, before any work starts."""
+    Raises ValueError unless p is prime, m, n are positive and the ceiling
+    is nonnegative, and CeilingExceededError when enumeration_size, or a
+    cheap lower bound on it, exceeds the ceiling, before any work starts."""
     require_prime(p)
     if ceiling is None:
         ceiling = DEFAULT_CEILING
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    if ceiling < 0:
+        raise ValueError("the ceiling must be nonnegative")
     refuse_census(n, ceiling)
     _refuse_rows(e_count(m, n) + f_count(m, n), p, upto, ceiling)
     dims = lie_dims(m, n)

@@ -161,6 +161,10 @@ def test_huge_inputs_refused_by_lower_bounds(argv):
     pytest.param(("ideal", "1000", "3"), id="ideal-1000-3"),
     # lie_dims would sum 10^8 binomials
     pytest.param(("rep", "1", "100000000"), id="rep-1e8"),
+    # the closed form of d = 1,002,001 at an empty oracle
+    pytest.param(("verify", "1000", "3", "--upto", "0"), id="verify-1000-3"),
+    # an n! of 5,565,703 digits, at d = 10^6
+    pytest.param(("topo", "1", "999999"), id="topo-999999"),
 ])
 def test_large_work_refused(argv):
     proc = run_subprocess(*argv, timeout=30)
@@ -307,6 +311,15 @@ def test_verify_bad_ceiling_env_is_usage_error(capsys, monkeypatch):
         main(["verify", "1", "1"])
     assert exc.value.code == 2
     assert "NILZETA_ORACLE_CEILING" in capsys.readouterr().err
+    monkeypatch.setenv("NILZETA_ORACLE_CEILING", "-1")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "1", "1"])
+    assert exc.value.code == 2
+    assert "NILZETA_ORACLE_CEILING" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "1", "1", "--ceiling", "-1"])
+    assert exc.value.code == 2
+    assert "--ceiling" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

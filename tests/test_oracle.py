@@ -288,6 +288,8 @@ def test_verify_dirichlet_ceiling():
         verify_dirichlet(2, 3, 2, 9, ceiling=10**6)
     # 2344543 row residues and 2 * 2 * 4 census subtractions
     assert err.value.estimate == 2344559
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_dirichlet(1, 1, 2, 1, ceiling=-1)
 
 
 # (n, upto) -> enumeration_size of verify(1, n, 2, upto): the row residues
