@@ -216,15 +216,19 @@ def _render(value, fmt: str, y_variable: bool = False):
     return value
 
 
-def _render_fields(fields: dict, fmt: str, line="{}: {}".format) -> str:
-    """A verb's fields, each rendered once: one JSON object for json, else
-    one line per field."""
-    # the reduced zeta function is written in Y, under either field name
-    rendered = {key: _render(value, fmt, y_variable=key in ("fn", "reduced"))
-                for key, value in fields.items()}
+def _show(value, fmt: str, line="{}: {}".format, y_fields=()) -> str:
+    """What a verb prints: its one value, or its dict of fields each rendered
+    once (those named in y_fields in the variable Y).  JSON for json, else
+    the value's text or LaTeX, or one line per field."""
+    if isinstance(value, dict):
+        rendered = {key: _render(field, fmt, key in y_fields) for key, field in value.items()}
+    else:
+        rendered = _render(value, fmt)
     if fmt == "json":
         return _dumps(rendered)
-    return "\n".join(line(key, value) for key, value in rendered.items())
+    if isinstance(rendered, dict):
+        return "\n".join(line(key, field) for key, field in rendered.items())
+    return rendered
 
 
 def _dims_fields(dims, data) -> tuple[dict, dict]:
@@ -239,11 +243,11 @@ def render_report(report: ZetaReport, fmt: str) -> str:
     # every field after the dimensions and the data, in declaration order
     fields = {key: value for key, value in vars(report).items() if key not in ("dims", "data")}
     if fmt == "json":
-        return _render_fields({**pair, "dims": dims, "data": data, **fields}, fmt)
+        fields = {**pair, "dims": dims, "data": data, **fields}
     # the text form opens with the pair, its dimensions and its data
     header = [" ".join(f"{key}={value}" for key, value in group.items())
-              for group in ({**pair, **dims}, data)]
-    return "\n".join((header if fmt == "text" else []) + [_render_fields(fields, fmt)])
+              for group in ({**pair, **dims}, data)] if fmt == "text" else []
+    return "\n".join(header + [_show(fields, fmt, y_fields=("reduced",))])
 
 
 def _check_igusa(m: int, n: int, seed: int) -> bool:
@@ -366,16 +370,21 @@ def _run_coeffs(args) -> int:
     if updates > SERIES_UPDATES_BOUND or terms > SERIES_TERMS_BOUND:
         raise _Refused(f"series of up to {updates} updates and {terms} terms exceeds the bounds "
                        f"{SERIES_UPDATES_BOUND} and {SERIES_TERMS_BOUND}")
-    rows = []
-    for k, poly in enumerate(rf_series_coeffs(zeta, args.upto)):
-        value = None if args.prime is None else poly.value_at_q(args.prime).numerator
-        if args.format == "json":
-            terms = [{"q": eq, "c": str(c)} for (eq, _), c in poly.sorted_terms()]
-            rows.append({"k": k, "terms": terms} | ({} if value is None else {"value": str(value)}))
-        else:
-            at_p = "" if value is None else f" = {value} at q={args.prime}"
-            rows.append(f"k={k}: {poly_text(poly)}{at_p}")
-    print(_dumps({"coeffs": rows}) if args.format == "json" else "\n".join(rows))
+    coeffs = rf_series_coeffs(zeta, args.upto)
+    if args.format == "json":
+        out = []
+        for k, poly in enumerate(coeffs):
+            entry = {"k": k, "terms": [{"q": eq, "c": str(c)} for (eq, _), c in poly.sorted_terms()]}
+            if args.prime is not None:
+                entry["value"] = str(poly.value_at_q(args.prime).numerator)
+            out.append(entry)
+        print(_dumps({"coeffs": out}))
+        return 0
+    for k, poly in enumerate(coeffs):
+        line = f"k={k}: {poly_text(poly)}"
+        if args.prime is not None:
+            line += f" = {poly.value_at_q(args.prime).numerator} at q={args.prime}"
+        print(line)
     return 0
 
 
@@ -472,22 +481,21 @@ def main(argv=None) -> int:
         if args.verb in ("ideal", "graded", "topo"):
             zeta = {"ideal": ideal_zeta, "graded": graded_ideal_zeta,
                     "topo": topological_ideal_zeta}[args.verb]
-            rendered = _render(zeta(args.m, args.n), args.format)
-            print(_dumps(rendered) if args.format == "json" else rendered)
+            print(_show(zeta(args.m, args.n), args.format))
         elif args.verb == "rep":
             local, topological = rep_zeta(args.m, args.n)
-            print(_render_fields({"local": local, "topological": topological}, args.format))
+            print(_show({"local": local, "topological": topological}, args.format))
         elif args.verb == "reduced":
             fn, mu = reduced_ideal_zeta(args.m, args.n)
             # the function prints without a label
-            print(_render_fields({"fn": fn, "mu": mu}, args.format,
-                                 lambda key, value: value if key == "fn" else f"{key}: {value}"))
+            print(_show({"fn": fn, "mu": mu}, args.format, y_fields=("fn",),
+                        line=lambda key, value: value if key == "fn" else f"{key}: {value}"))
         elif args.verb == "invariants":
             dims, data = _dims_fields(lie_dims(args.m, args.n), numerical_data(args.m, args.n))
             alpha, beta = analytic_invariants(args.m, args.n)
             _, mu = reduced_ideal_zeta(args.m, args.n)
             fields = {**dims, **data, "alpha": alpha, "beta": beta, "mu": mu}
-            print(_render_fields(fields, args.format, "{}={}".format))
+            print(_show(fields, args.format, "{}={}".format))
         elif args.verb == "report":
             print(render_report(zeta_report(args.m, args.n), args.format))
         elif args.verb == "coeffs":
