@@ -7,14 +7,15 @@ no zero coefficients are stored and the term order used for serialization
 and rendering is lexicographic on (et, eq).
 
 The constructor is the one place that merges repeated exponents and drops
-zero coefficients; arithmetic accumulates into a plain dict and hands it to
-the constructor.  `format_terms` is the one sign-joining term loop behind
-the text and LaTeX renderings and `repr`.
+zero coefficients; arithmetic hands its (exponent, coefficient) pairs
+straight to the constructor.  `format_terms` is the one sign-joining term
+loop behind the text and LaTeX renderings and `repr`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 
@@ -25,17 +26,9 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping | Iterable = ()):
         data: dict[tuple[int, int], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, c in items:
-            if not c:
-                continue
-            key = (int(key[0]), int(key[1]))
-            acc = data.get(key, 0) + c
-            if acc:
-                data[key] = acc
-            elif key in data:
-                del data[key]
-        object.__setattr__(self, "_terms", data)
+        for key, c in terms.items() if isinstance(terms, Mapping) else terms:
+            data[key] = data.get(key, 0) + c
+        object.__setattr__(self, "_terms", {(int(q), int(t)): c for (q, t), c in data.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -69,22 +62,22 @@ class LaurentPoly:
         return len(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        if not isinstance(other, LaurentPoly):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant (zero included) equals its int, so it hashes like it
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return LaurentPoly(out)
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        return LaurentPoly(chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -92,27 +85,22 @@ class LaurentPoly:
         return LaurentPoly((key, -c) for key, c in self._terms.items())
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        return self + (-other)
+        other = _as_poly(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
+        other = _as_poly(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        if not isinstance(other, LaurentPoly):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, int], int] = {}
-        for (qa, ta), ca in a.items():
-            for (qb, tb), cb in b.items():
-                key = (qa + qb, ta + tb)
-                out[key] = out.get(key, 0) + ca * cb
-        return LaurentPoly(out)
+        return LaurentPoly(
+            ((qa + qb, ta + tb), ca * cb)
+            for (qa, ta), ca in self._terms.items()
+            for (qb, tb), cb in other._terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -137,10 +125,7 @@ class LaurentPoly:
 
     def subs_t_one(self) -> "LaurentPoly":
         """Evaluate at t = 1, leaving a Laurent polynomial in q alone."""
-        out: dict[tuple[int, int], int] = {}
-        for (eq, _), c in self._terms.items():
-            out[(eq, 0)] = out.get((eq, 0), 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly(((eq, 0), c) for (eq, _), c in self._terms.items())
 
     def value_at_q(self, q_value) -> Fraction:
         """Evaluate a polynomial in q alone at a concrete value a/b, exactly.
@@ -168,6 +153,13 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({poly_text(self)})"
+
+
+def _as_poly(value) -> LaurentPoly | None:
+    """value as a polynomial if it is an int or a LaurentPoly, else None."""
+    if isinstance(value, int):
+        return LaurentPoly.term(value)
+    return value if isinstance(value, LaurentPoly) else None
 
 
 def format_terms(poly: LaurentPoly, monomial: Callable[[int, int, int], str]) -> str:

@@ -57,8 +57,10 @@ exact integers and explicit modular reduction, never over floats.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from math import comb
 from typing import Iterator
@@ -110,6 +112,8 @@ def hnf_count(dim: int, p: int, k: int) -> int:
     prod_(j < dim) 1/(1 - p^j x), one factor at a time (module docstring)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
+    if k < 0:
+        return 0
     coeffs = [1] + [0] * k
     for j in range(dim):
         for s in range(1, k + 1):
@@ -258,36 +262,31 @@ def dirichlet_counts(struct: LieStructure, p: int, upto: int) -> tuple[list[int]
     """Ideal and graded-ideal counts for indices p^0 .. p^upto, by the row
     programme over Hermite states and Birkhoff's tail count (module docstring)."""
     require_prime(p)
+    if upto < 0:
+        raise ValueError("index bound must be nonnegative")
     d, n, e = struct.dims.d, struct.dims.n, struct.dims.e
     ideal = [hnf_count(d, p, k) for k in range(upto + 1)]
     graded = list(ideal)
     tables = _bracket_tables(struct.brackets, d, e)
-    classes: dict[tuple[int, tuple], int] = {}
-    hermite_forms: dict[tuple, tuple] = {}
+    classes: Counter = Counter()
 
+    @cache
     def hermite(r: int, vectors) -> tuple:
-        key = (r, vectors)
-        if key not in hermite_forms:
-            hermite_forms[key] = hnf_mod(vectors, n, p, r)
-        return hermite_forms[key]
+        return hnf_mod(vectors, n, p, r)
 
     for comp in _u_diagonals(d, upto):
         r = upto - sum(comp)
         lifts = p ** sum(j * max(kj - r, 0) for j, kj in enumerate(comp))
         states = {hermite(r, ()): lifts}
         for row in _row_residue_sets(tables, n, comp, p, p**r):
-            spans: dict[tuple, int] = {}
-            for vectors in row:
-                span = hermite(r, vectors)
-                spans[span] = spans.get(span, 0) + 1
-            joined: dict[tuple, int] = {}
+            spans = Counter(hermite(r, vectors) for vectors in row)
+            joined: Counter = Counter()
             for state, weight in states.items():
                 for span, count in spans.items():
-                    join = hermite(r, state + span)
-                    joined[join] = joined.get(join, 0) + weight * count
+                    joined[hermite(r, state + span)] += weight * count
             states = joined
         for state, weight in states.items():
-            classes[(r, state)] = classes.get((r, state), 0) + weight
+            classes[(r, state)] += weight
     for (r, state), weight in classes.items():
         lam = [v for v in _smith(state, p, r) if v]
         for kt in range(1, r + 1):
@@ -400,7 +399,7 @@ def maximal_lattice_census(n: int, p: int, rmax: int) -> dict[LatticeType, int]:
     if rmax < 1:
         raise ValueError("rmax must be positive")
     bound = (n - 1) * rmax
-    counts: dict[LatticeType, int] = {}
+    counts: Counter = Counter()
     for k in range(bound + 1):
         for basis in hnf_enumerate(n, p, k):
             vals = snf_valuations(basis, p, k + 1)
@@ -411,7 +410,7 @@ def maximal_lattice_census(n: int, p: int, rmax: int) -> dict[LatticeType, int]:
             lattice_type = type_from_valuations(vals)
             if any(r > rmax for r in lattice_type.jumps):
                 continue
-            counts[lattice_type] = counts.get(lattice_type, 0) + 1
+            counts[lattice_type] += 1
     for lattice_type, count in counts.items():
         if count != lattice_type.count_formula(n, p):
             raise AssertionError(f"census mismatch for type {lattice_type}")

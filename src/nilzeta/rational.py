@@ -104,9 +104,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def times_poly(self, poly: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(self._num * poly, self._den)
-
     def divided_by(self, other: "RationalFunction") -> "RationalFunction":
         """Division restricted to divisors with numerator 1.
 
@@ -147,15 +144,13 @@ def rf_equal(x: RationalFunction, y: RationalFunction) -> bool:
     """True iff x and y agree as rational functions (cross-multiplication)."""
     cx, cy = x.den_counter(), y.den_counter()
     common = cx & cy
-    rest_x = cx - common
-    rest_y = cy - common
-    left = x.num
-    for (a, b), m in rest_y.items():
-        left = left * (DenomFactor(a, b, m).expanded())
-    right = y.num
-    for (a, b), m in rest_x.items():
-        right = right * (DenomFactor(a, b, m).expanded())
-    return left == right
+
+    def cleared(num: LaurentPoly, rest: Counter) -> LaurentPoly:
+        for (a, b), m in rest.items():
+            num = num * DenomFactor(a, b, m).expanded()
+        return num
+
+    return cleared(x.num, cy - common) == cleared(y.num, cx - common)
 
 
 def rf_invert_vars(x: RationalFunction) -> RationalFunction:

@@ -15,19 +15,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, prod
+
+from .combinat import poly_mul
 
 
 def _expand(factors: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Expand prod(b*s - a) into coefficients, low degree first."""
-    coeffs = [1]
+    return reduce(poly_mul, ((-a, b) for b, a in factors), (1,))
+
+
+def _primitive(factors) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The product of the factors' integer contents, and the factors with
+    their contents divided out."""
+    content, out = 1, []
     for b, a in factors:
-        new = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i] -= a * c
-            new[i + 1] += b * c
-        coeffs = new
-    return tuple(coeffs)
+        if b <= 0:
+            raise ValueError("leading coefficient of a linear factor must be positive")
+        g = gcd(b, a)
+        content *= g
+        out.append((b // g, a // g))
+    return content, tuple(out)
 
 
 @dataclass(frozen=True)
@@ -41,22 +50,9 @@ class LinearFactorRational:
         c = Fraction(const)
         # the factors' contents are multiplied out as integers and reach the
         # constant in one division, which reduces it once, not once per factor
-        up = down = 1
-        nf = []
-        for b, a in num_factors:
-            if b <= 0:
-                raise ValueError("leading coefficient of a linear factor must be positive")
-            g = gcd(b, a)
-            up *= g
-            nf.append((b // g, a // g))
-        df = []
-        for b, a in den_factors:
-            if b <= 0:
-                raise ValueError("leading coefficient of a linear factor must be positive")
-            g = gcd(b, a)
-            down *= g
-            df.append((b // g, a // g))
-        return cls(c * up / down, tuple(nf), tuple(df))
+        up, nf = _primitive(num_factors)
+        down, df = _primitive(den_factors)
+        return cls(c * up / down, nf, df)
 
     def degree(self) -> int:
         if self.const == 0:
@@ -77,9 +73,4 @@ class LinearFactorRational:
         """Exact limit of s**power * self as s -> oo; requires degree == -power."""
         if self.degree() != -power:
             raise ValueError("s**power * value does not have a finite nonzero limit")
-        value = self.const
-        for b, _ in self.num_factors:
-            value *= b
-        for b, _ in self.den_factors:
-            value /= b
-        return value
+        return self.const * prod(b for b, _ in self.num_factors) / prod(b for b, _ in self.den_factors)

@@ -156,7 +156,7 @@ def check_functional_equation(m: int, n: int) -> bool:
     z = ideal_zeta(m, n)
     inverted = rf_invert_vars(z)
     sign = -1 if dims.h % 2 else 1
-    target = z.times_poly(LaurentPoly.term(sign, comb(dims.h, 2), dims.d + dims.h))
+    target = z * LaurentPoly.term(sign, comb(dims.h, 2), dims.d + dims.h)
     return rf_equal(inverted, target)
 
 

@@ -1,6 +1,8 @@
 """Laurent polynomial arithmetic: exactness, canonical form."""
 
 import ast
+import operator
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,23 @@ def test_addition_and_negation():
     assert p + q == LaurentPoly({(0, 3): 1})
     assert -(p + q) == LaurentPoly({(0, 3): -1})
     assert p - p == LaurentPoly.zero()
+
+
+@pytest.mark.parametrize("other", [1.5, Fraction(1, 2)])
+def test_arithmetic_with_other_number_types_raises_type_error(other):
+    one = LaurentPoly.one()
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(one, other)
+        with pytest.raises(TypeError):
+            op(other, one)
+
+
+def test_constant_hashes_as_its_integer():
+    assert hash(LaurentPoly.term(3)) == hash(3)
+    assert hash(LaurentPoly.zero()) == hash(0)
+    assert {3: 1}.get(LaurentPoly.term(3)) == 1
+    assert {LaurentPoly.term(-2): "c"}[-2] == "c"
 
 
 def test_power():

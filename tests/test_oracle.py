@@ -62,7 +62,7 @@ def test_hnf_enumerate_distinct_and_canonical():
 
 @pytest.mark.parametrize("dim,p,kmax", [(2, 2, 4), (3, 2, 3), (2, 3, 3), (4, 2, 2), (3, 3, 2)])
 def test_hnf_enumerate_matches_count(dim, p, kmax):
-    for k in range(kmax + 1):
+    for k in range(-1, kmax + 1):
         assert sum(1 for _ in hnf_enumerate(dim, p, k)) == hnf_count(dim, p, k)
 
 
@@ -261,6 +261,13 @@ def test_oracle_refuses_non_prime(q):
         count_ideals(struct, q, 1 if q < 10 else 0)
     with pytest.raises(ValueError):
         count_graded_ideals(struct, q, 1 if q < 10 else 0)
+
+
+def test_oracle_refuses_negative_index():
+    struct = build_structure(1, 2)
+    for count in (dirichlet_counts, count_ideals, count_graded_ideals):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count(struct, 2, -1)
 
 
 def test_import_leaves_process_pool_unloaded():
