@@ -50,6 +50,7 @@ from .zetas import (
     check_zero_behaviour,
     graded_ideal_zeta,
     ideal_zeta,
+    igusa_data,
     numerical_data,
     reduced_ideal_zeta,
     rep_zeta,

@@ -48,6 +48,7 @@ from .zetas import (
     check_zero_behaviour,
     graded_ideal_zeta,
     ideal_zeta,
+    igusa_data,
     numerical_data,
     reduced_ideal_zeta,
     rep_zeta,
@@ -252,11 +253,11 @@ def render_report(report: ZetaReport, fmt: str) -> str:
 
 def _check_igusa(m: int, n: int, seed: int) -> bool:
     nd = numerical_data(m, n)
-    datasets = [IgusaData(n=n, y_qexp=-1, x=tuple((nd.a[n - j], nd.b[n - j]) for j in range(1, n + 1)))]
+    datasets = [igusa_data(nd.a, nd.b)]
     rng = random.Random(seed)
     for _ in range(5):
         x = tuple((rng.randrange(0, 30), rng.randrange(1, 10)) for _ in range(n))
-        datasets.append(IgusaData(n=n, y_qexp=-1, x=x))
+        datasets.append(IgusaData(-1, x))
     for data in datasets:
         subset = igusa_subset(data)
         if not rf_equal(subset, igusa_permutation(data)):
@@ -270,14 +271,14 @@ def _check_commat(m: int, n: int, do_print: bool) -> bool:
     struct = build_structure(m, n)
     direct = b_matrix_direct(struct)
     recursive = b_matrix_recursive(m, n)
+    commutator = full_commutator_matrix(m, n)
     if do_print:
         print(f"B({m},{n}):")
         print(render_linear_matrix(direct))
         print(f"M({m},{n}):")
-        print(render_linear_matrix(full_commutator_matrix(m, n)))
+        print(render_linear_matrix(commutator))
     if direct != recursive:
         return False
-    commutator = full_commutator_matrix(m, n)
     d = struct.dims.d
     for i in range(d):
         for j in range(d):

@@ -108,6 +108,8 @@ def compositions_revlex(total: int, n: int) -> list[tuple[int, ...]]:
     if n < 1:
         raise ValueError("n must be positive")
     out: list[tuple[int, ...]] = []
+    if total < 0:
+        return out
 
     def rec(prefix: tuple[int, ...], remaining: int, slots: int):
         if slots == 1:

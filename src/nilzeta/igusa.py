@@ -30,7 +30,6 @@ in s, the reduced one a RationalFunction in t alone (t standing for Y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -44,15 +43,16 @@ from .univariate import LinearFactorRational
 class IgusaData:
     """Input data: the Gaussian parameter q^y_qexp and n monomials (a_j, b_j)."""
 
-    n: int
     y_qexp: int
     x: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.x:
             raise ValueError("degree must be positive")
-        if len(self.x) != self.n:
-            raise ValueError("need exactly n monomials")
+
+    @property
+    def n(self) -> int:
+        return len(self.x)
 
 
 def _y_power(data: IgusaData, degree_coeffs: tuple[int, ...]) -> LaurentPoly:
@@ -132,26 +132,20 @@ def igusa_permutation(data: IgusaData) -> RationalFunction:
     return RationalFunction(num, _denominator(data))
 
 
-def igusa_topological(n: int, a, b) -> LinearFactorRational:
-    """The leading (q - 1)-degeneration: n! / prod(b_i s - a_i)."""
-    if len(a) != n or len(b) != n:
-        raise ValueError("need n numerator-free data entries")
+def igusa_topological(a, b) -> LinearFactorRational:
+    """The leading (q - 1)-degeneration: n! / prod(b_i s - a_i), n = len(a)."""
     if any(bi < 1 for bi in b):
         raise ValueError("t-exponents must be positive")
-    return LinearFactorRational.make(
-        Fraction(factorial(n)), (), tuple((bi, ai) for ai, bi in zip(a, b))
-    )
+    factors = tuple((bi, ai) for ai, bi in zip(a, b, strict=True))
+    return LinearFactorRational(factorial(len(factors)), (), factors)
 
 
-def igusa_reduced(n: int, b) -> RationalFunction:
+def igusa_reduced(b) -> RationalFunction:
     """Gaussian-parameter-1 degeneration in a single variable Y (stored as t).
 
     The Gaussian multinomials collapse to counting constants, so this is the
     permutation form with Y-parameter exponent 0 and X_j = Y^{b_j}.
     """
-    if len(b) != n:
-        raise ValueError("need n exponents")
     if any(bi < 1 for bi in b):
         raise ValueError("exponents must be positive")
-    data = IgusaData(n=n, y_qexp=0, x=tuple((0, bi) for bi in b))
-    return igusa_permutation(data)
+    return igusa_permutation(IgusaData(0, tuple((0, bi) for bi in b)))

@@ -20,7 +20,13 @@ from typing import Callable, Iterable, Mapping
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial in q and t over the integers."""
+    """Immutable Laurent polynomial in q and t over the integers.
+
+    Unlike the package's other value types, which are frozen dataclasses, it
+    keeps a hand-written constructor and `__slots__`: the constructor is the
+    package's one merge of equal keys, and the class has by far the most
+    instances.
+    """
 
     __slots__ = ("_terms",)
 
@@ -51,9 +57,6 @@ class LaurentPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in the canonical (et, eq) lexicographic order."""
         return sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-
-    def coefficient(self, q: int, t: int) -> int:
-        return self._terms.get((q, t), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -53,48 +53,34 @@ def abelian_structure(m: int, n: int) -> LieStructure:
     return LieStructure(dims=s.dims, basis_x=s.basis_x, basis_y=s.basis_y, brackets=())
 
 
+@dataclass(frozen=True)
 class LinearFormMatrix:
     """Matrix whose entries are integer linear forms in Y_1..Y_nvars.
 
-    Entries are stored sparsely as (row, col) -> coefficient tuple; absent
-    entries are zero.  Stored coefficient vectors are never all-zero.
+    Entries are stored sparsely in `forms`, (row, col) -> coefficient tuple;
+    absent entries are zero.  Stored coefficient vectors are never all-zero.
     """
 
-    __slots__ = ("rows", "cols", "nvars", "_entries")
+    rows: int
+    cols: int
+    nvars: int
+    forms: dict
 
-    def __init__(self, rows: int, cols: int, nvars: int, entries: dict):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nvars", nvars)
+    def __post_init__(self):
         clean = {}
-        for (i, j), coeffs in entries.items():
+        for key, coeffs in self.forms.items():
             coeffs = tuple(coeffs)
-            if len(coeffs) != nvars:
+            if len(coeffs) != self.nvars:
                 raise ValueError("coefficient vector has wrong length")
             if any(coeffs):
-                clean[(i, j)] = coeffs
-        object.__setattr__(self, "_entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearFormMatrix is immutable")
+                clean[key] = coeffs
+        object.__setattr__(self, "forms", clean)
 
     def entry(self, i: int, j: int) -> tuple[int, ...]:
-        return self._entries.get((i, j), (0,) * self.nvars)
+        return self.forms.get((i, j), (0,) * self.nvars)
 
     def entries(self) -> dict:
-        return dict(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearFormMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.nvars == other.nvars
-            and self._entries == other._entries
-        )
-
-    __hash__ = None
+        return dict(self.forms)
 
     def __repr__(self) -> str:
         return f"LinearFormMatrix({self.rows}x{self.cols} in Y_1..Y_{self.nvars})"

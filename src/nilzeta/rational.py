@@ -57,40 +57,29 @@ class DenomFactor:
 
 
 def _canonical_factors(factors: Iterable) -> tuple[DenomFactor, ...]:
+    """Factors given as DenomFactor or (a, b, mult) triples, with equal (a, b)
+    merged, in (b, a) order."""
     merged: Counter = Counter()
     for f in factors:
-        if isinstance(f, DenomFactor):
-            merged[(f.a, f.b)] += f.mult
-        else:
-            a, b, *rest = f
-            merged[(a, b)] += rest[0] if rest else 1
+        a, b, mult = (f.a, f.b, f.mult) if isinstance(f, DenomFactor) else f
+        merged[(a, b)] += mult
     return tuple(
         DenomFactor(a, b, m) for (a, b), m in sorted(merged.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     )
 
 
+@dataclass(frozen=True, eq=False)
 class RationalFunction:
     """num / prod((1 - q^a t^b)^mult), with mathematical equality."""
 
-    __slots__ = ("_num", "_den")
+    num: LaurentPoly
+    den: tuple[DenomFactor, ...] = ()
 
-    def __init__(self, num: LaurentPoly, den: Iterable = ()):
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", _canonical_factors(den))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    @property
-    def num(self) -> LaurentPoly:
-        return self._num
-
-    @property
-    def den(self) -> tuple[DenomFactor, ...]:
-        return self._den
+    def __post_init__(self):
+        object.__setattr__(self, "den", _canonical_factors(self.den))
 
     def den_counter(self) -> Counter:
-        return Counter({(f.a, f.b): f.mult for f in self._den})
+        return Counter({(f.a, f.b): f.mult for f in self.den})
 
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, LaurentPoly):
@@ -99,7 +88,7 @@ class RationalFunction:
             return NotImplemented
         merged = self.den_counter() + other.den_counter()
         return RationalFunction(
-            self._num * other._num, [(a, b, m) for (a, b), m in merged.items()]
+            self.num * other.num, [(a, b, m) for (a, b), m in merged.items()]
         )
 
     __rmul__ = __mul__
@@ -110,11 +99,11 @@ class RationalFunction:
         Cancels against the denominator multiset first; divisor factors with
         no counterpart are multiplied into the numerator.
         """
-        if other._num != LaurentPoly.one():
+        if other.num != LaurentPoly.one():
             raise ValueError("divided_by requires a divisor with numerator 1")
         remaining = self.den_counter()
-        num = self._num
-        for f in other._den:
+        num = self.num
+        for f in other.den:
             key = (f.a, f.b)
             cancel = min(remaining.get(key, 0), f.mult)
             if cancel:
@@ -135,9 +124,9 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         den = "".join(
-            f"(1-q^{f.a} t^{f.b})" + (f"^{f.mult}" if f.mult > 1 else "") for f in self._den
+            f"(1-q^{f.a} t^{f.b})" + (f"^{f.mult}" if f.mult > 1 else "") for f in self.den
         )
-        return f"RationalFunction({self._num!r} / {den or '1'})"
+        return f"RationalFunction({self.num!r} / {den or '1'})"
 
 
 def rf_equal(x: RationalFunction, y: RationalFunction) -> bool:

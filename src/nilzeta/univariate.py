@@ -42,17 +42,17 @@ def _primitive(factors) -> tuple[int, tuple[tuple[int, int], ...]]:
 @dataclass(frozen=True)
 class LinearFactorRational:
     const: Fraction
-    num_factors: tuple[tuple[int, int], ...]
-    den_factors: tuple[tuple[int, int], ...]
+    num_factors: tuple[tuple[int, int], ...] = ()
+    den_factors: tuple[tuple[int, int], ...] = ()
 
-    @classmethod
-    def make(cls, const, num_factors=(), den_factors=()) -> "LinearFactorRational":
-        c = Fraction(const)
+    def __post_init__(self):
         # the factors' contents are multiplied out as integers and reach the
         # constant in one division, which reduces it once, not once per factor
-        up, nf = _primitive(num_factors)
-        down, df = _primitive(den_factors)
-        return cls(c * up / down, nf, df)
+        up, num_factors = _primitive(self.num_factors)
+        down, den_factors = _primitive(self.den_factors)
+        object.__setattr__(self, "const", Fraction(self.const) * up / down)
+        object.__setattr__(self, "num_factors", num_factors)
+        object.__setattr__(self, "den_factors", den_factors)
 
     def degree(self) -> int:
         if self.const == 0:

@@ -36,8 +36,6 @@ from .univariate import LinearFactorRational
 class NumericalData:
     """Exponent pairs (a_i, b_i), i = 0..n-1, feeding the Igusa function."""
 
-    m: int
-    n: int
     a: tuple[int, ...]
     b: tuple[int, ...]
 
@@ -52,7 +50,7 @@ def numerical_data(m: int, n: int) -> NumericalData:
         b[i] = n - i + dims.e + tail
     if a[0] != dims.d * n or b[0] != dims.h:
         raise AssertionError("index data fails the (d*n, h) anchor")
-    return NumericalData(m=m, n=n, a=a, b=tuple(b))
+    return NumericalData(a=a, b=tuple(b))
 
 
 def abelian_zeta(d: int) -> RationalFunction:
@@ -62,16 +60,16 @@ def abelian_zeta(d: int) -> RationalFunction:
     return RationalFunction(LaurentPoly.one(), [(i, 1, 1) for i in range(d)])
 
 
-def _igusa_part(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> RationalFunction:
-    # X_j uses the data at index n-j: the tuple is passed from i = n-1 down to 0.
-    x = tuple((a[n - j], b[n - j]) for j in range(1, n + 1))
-    return igusa_permutation(IgusaData(n=n, y_qexp=-1, x=x))
+def igusa_data(a: tuple[int, ...], b: tuple[int, ...]) -> IgusaData:
+    """The Igusa input of the data (a_i, b_i), i = 0..n-1: Y = q^-1 and
+    X_j = q^a_(n-j) t^b_(n-j), so the monomials run from i = n-1 down to 0."""
+    return IgusaData(-1, tuple(zip(a, b, strict=True))[::-1])
 
 
 def ideal_zeta(m: int, n: int) -> RationalFunction:
     dims = lie_dims(m, n)
     nd = numerical_data(m, n)
-    return abelian_zeta(dims.d) * _igusa_part(n, nd.a, nd.b)
+    return abelian_zeta(dims.d) * igusa_permutation(igusa_data(nd.a, nd.b))
 
 
 def graded_ideal_zeta(m: int, n: int) -> RationalFunction:
@@ -79,7 +77,7 @@ def graded_ideal_zeta(m: int, n: int) -> RationalFunction:
     dims = lie_dims(m, n)
     nd = numerical_data(m, n)
     graded_a = tuple(i * (n - i) for i in range(n))
-    return abelian_zeta(dims.d) * _igusa_part(n, graded_a, nd.b)
+    return abelian_zeta(dims.d) * igusa_permutation(igusa_data(graded_a, nd.b))
 
 
 def rep_zeta(m: int, n: int) -> tuple[RationalFunction, LinearFactorRational]:
@@ -92,7 +90,7 @@ def rep_zeta(m: int, n: int) -> tuple[RationalFunction, LinearFactorRational]:
     local = RationalFunction(
         LaurentPoly({(0, 0): 1, (0, dims.e): -1}), [(n, dims.e, 1)]
     )
-    topological = LinearFactorRational.make(1, ((dims.e, 0),), ((dims.e, n),))
+    topological = LinearFactorRational(1, ((dims.e, 0),), ((dims.e, n),))
     return local, topological
 
 
@@ -100,8 +98,8 @@ def topological_ideal_zeta(m: int, n: int) -> LinearFactorRational:
     dims = lie_dims(m, n)
     nd = numerical_data(m, n)
     abelian_factors = tuple((1, j) for j in range(dims.d))
-    igusa = igusa_topological(n, nd.a, nd.b)
-    return LinearFactorRational.make(
+    igusa = igusa_topological(nd.a, nd.b)
+    return LinearFactorRational(
         igusa.const, igusa.num_factors, abelian_factors + igusa.den_factors
     )
 
@@ -114,8 +112,7 @@ def reduced_ideal_zeta(m: int, n: int) -> tuple[RationalFunction, Fraction]:
     """
     dims = lie_dims(m, n)
     nd = numerical_data(m, n)
-    bx = tuple(nd.b[n - j] for j in range(1, n + 1))
-    base = igusa_reduced(n, bx)
+    base = igusa_reduced(tuple(b for _, b in igusa_data(nd.a, nd.b).x))
     fn = RationalFunction(base.num, list(base.den) + [(0, 1, dims.d)])
     mu = Fraction(factorial(n))
     for bi in nd.b:

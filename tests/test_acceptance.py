@@ -34,6 +34,7 @@ from nilzeta.zetas import (
     check_functional_equation,
     check_zero_behaviour,
     ideal_zeta,
+    igusa_data,
     numerical_data,
     reduced_ideal_zeta,
     rep_zeta,
@@ -121,7 +122,7 @@ def test_criterion_06_zero_behaviour():
 
 def test_criterion_07_topological_reduced_anchors():
     start = time.monotonic()
-    topo_fixture = LinearFactorRational.make(
+    topo_fixture = LinearFactorRational(
         Fraction(1, 5),
         (),
         tuple((1, i) for i in range(9)) + ((4, 9), (1, 2), (7, 11)),
@@ -148,14 +149,13 @@ def test_criterion_08_igusa_form_equivalence():
     for n in range(1, 6):
         for _ in range(20):
             x = tuple((rng.randrange(0, 40), rng.randrange(1, 12)) for _ in range(n))
-            data = IgusaData(n=n, y_qexp=-1, x=x)
+            data = IgusaData(-1, x)
             ok = ok and rf_equal(igusa_subset(data), igusa_permutation(data))
     # the paper's X-data, where the subset form is the census's only
     # independent check above n = 8
     for m, n in ((2, 10), (1, 12)):
         nd = numerical_data(m, n)
-        x = tuple((nd.a[n - j], nd.b[n - j]) for j in range(1, n + 1))
-        data = IgusaData(n=n, y_qexp=-1, x=x)
+        data = igusa_data(nd.a, nd.b)
         ok = ok and rf_equal(igusa_subset(data), igusa_permutation(data))
     elapsed = time.monotonic() - start
     _report(8, "Igusa form equivalence", ok, elapsed)

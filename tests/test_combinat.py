@@ -98,6 +98,7 @@ def test_compositions_revlex_order():
         (0, 0, 2),
     ]
     assert compositions_revlex(0, 4) == [(0, 0, 0, 0)]
+    assert all(compositions_revlex(-1, n) == [] for n in range(1, 4))
 
 
 @pytest.mark.parametrize("m", range(1, 9))

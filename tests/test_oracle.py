@@ -60,7 +60,7 @@ def test_hnf_enumerate_distinct_and_canonical():
     assert len(seen) == hnf_count(3, 2, 3)
 
 
-@pytest.mark.parametrize("dim,p,kmax", [(2, 2, 4), (3, 2, 3), (2, 3, 3), (4, 2, 2), (3, 3, 2)])
+@pytest.mark.parametrize("dim,p,kmax", [(1, 2, 4), (2, 2, 4), (3, 2, 3), (2, 3, 3), (4, 2, 2), (3, 3, 2)])
 def test_hnf_enumerate_matches_count(dim, p, kmax):
     for k in range(-1, kmax + 1):
         assert sum(1 for _ in hnf_enumerate(dim, p, k)) == hnf_count(dim, p, k)

@@ -127,7 +127,7 @@ def test_rep_zeta_forms():
     assert local.num == LaurentPoly({(0, 0): 1, (0, 1): -1})
     assert [(f.a, f.b) for f in local.den] == [(2, 1)]
     _, topological = rep_zeta(2, 3)
-    assert topological.equal(LinearFactorRational.make(1, ((1, 0),), ((1, 1),)))
+    assert topological.equal(LinearFactorRational(1, ((1, 0),), ((1, 1),)))
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -138,12 +138,12 @@ def test_rep_zeta_grid(m, n):
     assert local.num == LaurentPoly({(0, 0): 1, (0, dims.e): -1})
     assert [(f.a, f.b, f.mult) for f in local.den] == [(n, dims.e, 1)]
     assert topological.equal(
-        LinearFactorRational.make(1, ((dims.e, 0),), ((dims.e, n),))
+        LinearFactorRational(1, ((dims.e, 0),), ((dims.e, n),))
     )
 
 
 def test_topological_23_published():
-    fixture = LinearFactorRational.make(
+    fixture = LinearFactorRational(
         Fraction(1, 5),
         (),
         tuple((1, i) for i in range(9)) + ((4, 9), (1, 2), (7, 11)),
@@ -152,7 +152,7 @@ def test_topological_23_published():
 
 
 def test_topological_heisenberg():
-    fixture = LinearFactorRational.make(1, (), ((1, 0), (1, 1), (3, 2)))
+    fixture = LinearFactorRational(1, (), ((1, 0), (1, 1), (3, 2)))
     assert topological_ideal_zeta(3, 1).equal(fixture)
 
 
