@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .combinat import e_count, f_count, lie_dims, require_prime
 from .igusa import IgusaData, census_subtractions, igusa_middle, igusa_permutation, igusa_subset
@@ -284,11 +285,14 @@ def _check_commat(m: int, n: int, do_print: bool) -> bool:
         for j in range(d):
             if commutator.entry(i, j) != tuple(-c for c in commutator.entry(j, i)):
                 return False
+    # B(λy) = λ·B(y), so one point per line of F_q^n sees every rank: the
+    # (q^n - 1)/(q - 1) points whose last nonzero coordinate is 1
     for q in (2, 3):
-        for mask in range(1, q**n):
-            y = [(mask // q**i) % q for i in range(n)]
-            if rank_mod(specialize(direct, y, modulus=q), q) != struct.dims.e:
-                return False
+        for k in range(n):
+            for head in product(range(q), repeat=k):
+                y = (*head, 1) + (0,) * (n - 1 - k)
+                if rank_mod(specialize(direct, y, modulus=q), q) != struct.dims.e:
+                    return False
     return True
 
 
@@ -336,11 +340,17 @@ def _run_check(args) -> int:
     if not suites:
         print("no suite given", file=sys.stderr)
         return 2
-    if "commat" in suites:
-        # rank_mod over the 2^n + 3^n - 2 specialisations of the e x f matrix
-        work = (2**args.n + 3**args.n - 2) * e_count(args.m, args.n) * f_count(args.m, args.n)
-        if work > DEFAULT_CEILING:
-            raise CeilingExceededError(work, DEFAULT_CEILING)
+    # each suite is charged by the entries it specialises, and the sum is
+    # refused before any suite runs: commat by rank_mod over at most
+    # 2^n + 3^n - 2 specialisations of the f x e matrix B, congruence by a
+    # d x d·n matrix per trial and prime, repmat by a d x d matrix per trial
+    # and prime (five trials, two primes)
+    n, e, f = args.n, e_count(args.m, args.n), f_count(args.m, args.n)
+    charges = {"commat": (2**n + 3**n - 2) * e * f,
+               "congruence": 10 * (e + f) ** 2 * n, "repmat": 10 * (e + f) ** 2}
+    work = sum(charges.get(suite, 0) for suite in suites)
+    if work > DEFAULT_CEILING:
+        raise CeilingExceededError(work, DEFAULT_CEILING)
     all_ok = True
     for suite in suites:
         ok = _SUITES[suite](args)

@@ -14,6 +14,7 @@ a block-bidiagonal recursion in n.  The two must agree entrywise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .combinat import LieDims, compositions_revlex, e_count, lie_dims, require_prime
@@ -150,8 +151,8 @@ def specialize(mat: LinearFormMatrix, y, modulus: int | None = None) -> list[lis
     if modulus is not None and modulus < 1:
         raise ValueError("modulus must be positive")
     out = [[0] * mat.cols for _ in range(mat.rows)]
-    for (i, j), coeffs in mat.entries().items():
-        v = sum(c * yk for c, yk in zip(coeffs, y))
+    for (i, j), coeffs in mat.forms.items():
+        v = sum(map(operator.mul, coeffs, y))
         out[i][j] = v % modulus if modulus is not None else v
     return out
 

@@ -50,16 +50,20 @@ def _step(rows: list[list[int]], entries, p: int, modulus: int):
 
 
 def _smith(mat, p: int, precision: int) -> tuple[int, ...]:
-    """snf_valuations without the argument checks."""
+    """snf_valuations without the argument checks.  Elementary divisors do
+    not change under transposition or under deleting zero rows and columns,
+    so only the nonzero part modulo p^N is eliminated, pivoting along its
+    shorter side; the slots dropped with it read as zero divisors."""
     modulus = p**precision
     rows = [[x % modulus for x in row] for row in mat]
     slots = min(len(rows), len(rows[0])) if rows else 0
+    cols = [col for col in zip(*(row for row in rows if any(row))) if any(col)]
+    rows = list(zip(*cols))
+    if len(rows) > len(cols):
+        rows = cols
     vals = []
-    while len(vals) < slots:
-        step = _step(rows, ((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x),
-                     p, modulus)
-        if step is None:
-            break
+    while step := _step(rows, ((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x),
+                        p, modulus):
         vals.append(step[0])
         del rows[step[1]]
     return tuple(sorted(vals + [precision] * (slots - len(vals))))

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -165,12 +166,30 @@ def test_huge_inputs_refused_by_lower_bounds(argv):
     pytest.param(("verify", "1000", "3", "--upto", "0"), id="verify-1000-3"),
     # an n! of 5,565,703 digits, at d = 10^6
     pytest.param(("topo", "1", "999999"), id="topo-999999"),
+    # 10·d²·n = 147,232,800 and 10·d² = 101,442,250 specialised entries
+    pytest.param(("check", "10", "5", "--suite", "congruence"), id="congruence-10-5"),
+    pytest.param(("check", "12", "5", "--suite", "repmat"), id="repmat-12-5"),
 ])
 def test_large_work_refused(argv):
     proc = run_subprocess(*argv, timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("refused: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("m,suite,work", [
+    ("10", "funceq,congruence", 147232800),
+    ("12", "repmat,funceq", 101442250),
+])
+def test_congruence_and_repmat_charges_refuse_before_any_suite(capsys, m, suite, work):
+    code, out, err = run_cli(capsys, "check", m, "5", "--suite", suite)
+    assert (code, out, err) == (2, "", f"refused: enumeration size {work} exceeds the ceiling 100000000\n")
+
+
+def test_congruence_and_repmat_charges_admit_small_pairs(capsys):
+    # charged 10·336²·5 + 10·336² = 6,773,760 entries, under the ceiling
+    code, out, err = run_cli(capsys, "check", "6", "5", "--suite", "congruence,repmat")
+    assert (code, out, err) == (0, "congruence: ok\nrepmat: ok\n", "")
 
 
 def test_commat_charge_refuses_before_any_suite(capsys):
@@ -248,6 +267,64 @@ def test_check_random_suites(capsys):
     code, out, _ = run_cli(capsys, "check", "2", "2", "--suite", "congruence,repmat", "--seed", "7")
     assert code == 0
     assert out.count(": ok") == 2
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_check_commat_tests_one_point_per_line(capsys, monkeypatch, n):
+    import nilzeta.cli as cli_mod
+
+    calls = []
+    real = cli_mod.rank_mod
+
+    def counted(matrix, p):
+        calls.append(p)
+        return real(matrix, p)
+
+    monkeypatch.setattr(cli_mod, "rank_mod", counted)
+    assert run_cli(capsys, "check", "2", str(n), "--suite", "commat") == (0, "commat: ok\n", "")
+    assert sorted(calls) == [2] * (2**n - 1) + [3] * ((3**n - 1) // 2)
+
+
+def _lines(q, n):
+    """Every line of F_q^n, as the set of its nonzero points."""
+    lines = set()
+    for v in product(range(q), repeat=n):
+        if any(v):
+            lines.add(frozenset(tuple(lam * x % q for x in v) for lam in range(1, q)))
+    return sorted(lines, key=sorted)
+
+
+def _vanishing_on(line, n):
+    """n linear forms that span, over F_q, the forms vanishing on `line`: for
+    the point v with last nonzero coordinate k equal to 1, e_i - v_i e_k for
+    each i != k, and a zero form in row k."""
+    k = max(i for i in range(n) if min(line)[i])
+    v = next(point for point in line if point[k] == 1)
+    return [[0] * n if i == k else [(i == j) - v[i] * (j == k) for j in range(n)]
+            for i in range(n)]
+
+
+def _crt(mod2, mod3):
+    """The residue modulo 6 that is mod2 modulo 2 and mod3 modulo 3."""
+    return (3 * mod2 + 4 * mod3) % 6
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_check_commat_sees_every_line(capsys, monkeypatch, q, n):
+    # one n x 1 mutant of B(1, n) per line l of F_q^n: modulo q its column
+    # vanishes exactly on l, and modulo the other prime it is the column y,
+    # which vanishes nowhere; so the check fails only by testing a point of l
+    import nilzeta.cli as cli_mod
+    from nilzeta.liering import LinearFormMatrix
+
+    for line in _lines(q, n):
+        mutant = LinearFormMatrix(n, 1, n, {
+            (i, 0): tuple(_crt(c, i == j) if q == 2 else _crt(i == j, c) for j, c in enumerate(row))
+            for i, row in enumerate(_vanishing_on(line, n))})
+        monkeypatch.setattr(cli_mod, "b_matrix_direct", lambda struct: mutant)
+        monkeypatch.setattr(cli_mod, "b_matrix_recursive", lambda m, n: mutant)
+        assert run_cli(capsys, "check", "1", str(n), "--suite", "commat") == (1, "commat: FAIL\n", "")
 
 
 def test_check_commat_print(capsys):

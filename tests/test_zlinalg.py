@@ -43,25 +43,78 @@ def _determinantal_divisors(mat):
     return out
 
 
+def _random_matrix(rng, p, rows, cols):
+    return [[rng.randrange(-9, 10) * p ** rng.choice((0, 0, 1, 2)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _assert_matches_determinantal_divisors(mat, p):
+    divisors = _determinantal_divisors(mat)
+    # above any true valuation: a nonzero divisor's valuation is at most
+    # that of the largest nonzero D_k
+    precision = 1 + max((_vp(dk, p) for dk in divisors if dk), default=0)
+    vals = snf_valuations(mat, p, precision)
+    assert len(vals) == len(divisors)
+    for k, dk in enumerate(divisors, start=1):
+        if dk:
+            assert sum(vals[:k]) == _vp(dk, p)
+            assert vals[k - 1] < precision
+        else:
+            assert vals[k - 1] == precision
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_snf_valuations_match_determinantal_divisors(p):
     rng = random.Random(9000 + p)
     for _ in range(60):
-        rows, cols = rng.randrange(1, 5), rng.randrange(1, 6)
-        mat = [[rng.randrange(-9, 10) * p ** rng.choice((0, 0, 1, 2)) for _ in range(cols)]
-               for _ in range(rows)]
-        divisors = _determinantal_divisors(mat)
-        # above any true valuation: a nonzero divisor's valuation is at most
-        # that of the largest nonzero D_k
-        precision = 1 + max((_vp(dk, p) for dk in divisors if dk), default=0)
-        vals = snf_valuations(mat, p, precision)
-        assert len(vals) == len(divisors)
-        for k, dk in enumerate(divisors, start=1):
-            if dk:
-                assert sum(vals[:k]) == _vp(dk, p)
-                assert vals[k - 1] < precision
-            else:
-                assert vals[k - 1] == precision
+        _assert_matches_determinantal_divisors(
+            _random_matrix(rng, p, rng.randrange(1, 5), rng.randrange(1, 6)), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_snf_valuations_of_tall_matrices(p):
+    # more rows than columns: eliminated along the columns
+    rng = random.Random(9100 + p)
+    for _ in range(40):
+        cols = rng.randrange(1, 4)
+        _assert_matches_determinantal_divisors(
+            _random_matrix(rng, p, rng.randrange(cols + 1, 7), cols), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_snf_valuations_with_zero_rows_and_columns(p):
+    # the zero rows and columns are dropped, and their slots still read as
+    # zero divisors
+    rng = random.Random(9200 + p)
+    for _ in range(40):
+        mat = _random_matrix(rng, p, rng.randrange(1, 4), rng.randrange(1, 4))
+        for _ in range(rng.randrange(1, 3)):
+            mat.insert(rng.randrange(len(mat) + 1), [0] * len(mat[0]))
+        for _ in range(rng.randrange(1, 3)):
+            j = rng.randrange(len(mat[0]) + 1)
+            for row in mat:
+                row.insert(j, 0)
+        _assert_matches_determinantal_divisors(mat, p)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 5), (4, 3), (6, 2)])
+def test_snf_valuations_of_zero_matrices(rows, cols):
+    assert snf_valuations([[0] * cols for _ in range(rows)], 3, 2) == (2,) * min(rows, cols)
+    assert snf_valuations([[9] * cols for _ in range(rows)], 3, 2) == (2,) * min(rows, cols)
+
+
+def test_snf_valuations_of_empty_matrix():
+    assert snf_valuations([], 2, 1) == ()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_snf_valuations_invariant_under_transposition(p):
+    rng = random.Random(9300 + p)
+    for _ in range(60):
+        mat = _random_matrix(rng, p, rng.randrange(1, 8), rng.randrange(1, 8))
+        precision = rng.randrange(1, 5)
+        assert snf_valuations(mat, p, precision) == snf_valuations(
+            [list(col) for col in zip(*mat)], p, precision)
 
 
 def _closure(vectors, n, modulus):
