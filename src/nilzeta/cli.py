@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .combinat import e_count, f_count, lie_dims, require_prime
+from .combinat import DIMS_BOUND, dims_exceed, e_count, f_count, lie_dims, require_prime
 from .igusa import IgusaData, census_subtractions, igusa_middle, igusa_permutation, igusa_subset
 from .laurent import LaurentPoly, format_terms, poly_text
 from .liering import (
@@ -60,9 +60,8 @@ from .zetas import (
 DEFAULT_SEED = 1729
 # coeffs refuses a series whose rf_series_work bounds exceed these: about
 # 15 s of coefficient updates, or about 200 MB of coefficients.  Every verb
-# also refuses d = e + f above the terms bound, since the closed forms hold
-# O(d) factors and lie_dims sums O(m + n) terms.  topo refuses an n! of more
-# digits than its bound, since int-to-str is quadratic in the digits.
+# also refuses d = e + f above combinat.DIMS_BOUND.  topo refuses an n! of
+# more digits than its bound, since int-to-str is quadratic in the digits.
 SERIES_UPDATES_BOUND = 10**8
 SERIES_TERMS_BOUND = 10**6
 FACTORIAL_DIGITS_BOUND = 10**5
@@ -75,20 +74,6 @@ class _Refused(Exception):
 def _factorial_digits(n: int) -> int:
     """The decimal length of n!, estimated from lgamma without forming n!."""
     return int(math.lgamma(n + 1) / math.log(10)) + 1
-
-
-def _dims_exceed(m: int, n: int, bound: int) -> bool:
-    """Whether d = e + f exceeds bound, without forming f = C(m + n - 1, n - 1)
-    when it alone does: its partial products C(m + n - 1 - k + i, i), k the
-    smaller of n - 1 and m, at least double at each step, so few are formed
-    before one passes the bound, whatever the size of m and n."""
-    k = min(n - 1, m)
-    value = 1
-    for i in range(1, k + 1):
-        value = value * (m + n - 1 - k + i) // i
-        if value > bound:
-            return True
-    return e_count(m, n) + f_count(m, n) > bound
 
 
 def _dumps(obj) -> str:
@@ -291,7 +276,7 @@ def _check_commat(m: int, n: int, do_print: bool) -> bool:
         for k in range(n):
             for head in product(range(q), repeat=k):
                 y = (*head, 1) + (0,) * (n - 1 - k)
-                if rank_mod(specialize(direct, y, modulus=q), q) != struct.dims.e:
+                if rank_mod(specialize(direct, y), q) != struct.dims.e:
                     return False
     return True
 
@@ -340,13 +325,14 @@ def _run_check(args) -> int:
     if not suites:
         print("no suite given", file=sys.stderr)
         return 2
-    # each suite is charged by the entries it specialises, and the sum is
-    # refused before any suite runs: commat by rank_mod over at most
-    # 2^n + 3^n - 2 specialisations of the f x e matrix B, congruence by a
-    # d x d·n matrix per trial and prime, repmat by a d x d matrix per trial
-    # and prime (five trials, two primes)
+    # each suite is charged, and the sum refused before any suite runs: commat
+    # by rank_mod over at most 2^n + 3^n - 2 specialisations of the f x e
+    # matrix B; congruence and repmat per trial and prime (five trials, two
+    # primes) by d^2·n and d^2, upper bounds on the entries of B's n blocks
+    # side by side and stacked and of one B; igusa by 24 census_subtractions:
+    # six data sets, each summed twice along the subset chain
     n, e, f = args.n, e_count(args.m, args.n), f_count(args.m, args.n)
-    charges = {"commat": (2**n + 3**n - 2) * e * f,
+    charges = {"commat": (2**n + 3**n - 2) * e * f, "igusa": 24 * census_subtractions(n),
                "congruence": 10 * (e + f) ** 2 * n, "repmat": 10 * (e + f) ** 2}
     work = sum(charges.get(suite, 0) for suite in suites)
     if work > DEFAULT_CEILING:
@@ -485,8 +471,8 @@ def main(argv=None) -> int:
             refuse_census(args.n, args.ceiling if args.verb == "verify" else DEFAULT_CEILING)
             if args.verb != "verify" and (work := census_subtractions(args.n)) > DEFAULT_CEILING:
                 raise CeilingExceededError(work, DEFAULT_CEILING)
-        if _dims_exceed(args.m, args.n, SERIES_TERMS_BOUND):
-            raise _Refused(f"d = e + f exceeds {SERIES_TERMS_BOUND}")
+        if dims_exceed(args.m, args.n):
+            raise _Refused(f"d = e + f exceeds {DIMS_BOUND}")
         if args.verb == "topo" and (digits := _factorial_digits(args.n)) > FACTORIAL_DIGITS_BOUND:
             raise _Refused(f"n! of about {digits} digits exceeds {FACTORIAL_DIGITS_BOUND} digits")
         if args.verb in ("ideal", "graded", "topo"):

@@ -178,6 +178,22 @@ def f_count(m: int, n: int) -> int:
     return comb(n + m - 1, n - 1)
 
 
+DIMS_BOUND = 10**6  # closed forms hold O(d) factors; lie_dims sums O(m + n) terms
+
+
+def dims_exceed(m: int, n: int) -> bool:
+    """Whether d = e + f exceeds DIMS_BOUND, without forming f = C(m + n - 1, n - 1)
+    when it alone does: its partial products C(m + n - 1 - k + i, i), k = min(n - 1, m),
+    at least double at each step, so few are formed whatever the size of m and n."""
+    k = min(n - 1, m)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (m + n - 1 - k + i) // i
+        if value > DIMS_BOUND:
+            return True
+    return e_count(m, n) + f_count(m, n) > DIMS_BOUND
+
+
 def lie_dims(m: int, n: int) -> LieDims:
     """Compute (e, f, d, h) for the pair (m, n) and sanity-check the binomial
     identities relating adjacent parameters."""

@@ -144,16 +144,13 @@ def full_commutator_matrix(m: int, n: int) -> LinearFormMatrix:
     return LinearFormMatrix(e + f, e + f, nv, entries)
 
 
-def specialize(mat: LinearFormMatrix, y, modulus: int | None = None) -> list[list[int]]:
-    """Evaluate every linear form at the integer vector y, optionally mod m."""
+def specialize(mat: LinearFormMatrix, y) -> list[list[int]]:
+    """Evaluate every linear form at the integer vector y."""
     if len(y) != mat.nvars:
         raise ValueError(f"expected {mat.nvars} values, got {len(y)}")
-    if modulus is not None and modulus < 1:
-        raise ValueError("modulus must be positive")
     out = [[0] * mat.cols for _ in range(mat.rows)]
     for (i, j), coeffs in mat.forms.items():
-        v = sum(map(operator.mul, coeffs, y))
-        out[i][j] = v % modulus if modulus is not None else v
+        out[i][j] = sum(map(operator.mul, coeffs, y))
     return out
 
 

@@ -65,13 +65,13 @@ from itertools import product as iproduct
 from math import comb
 from typing import Iterator
 
-from .combinat import (compositions_revlex, e_count, f_count, gaussian_binomial, gaussian_multinomial,
-                       lie_dims, require_prime)
+from .combinat import (DIMS_BOUND, compositions_revlex, dims_exceed, e_count, f_count, gaussian_binomial,
+                       gaussian_multinomial, lie_dims, require_prime)
 from .igusa import census_subtractions
-from .liering import LieStructure, build_structure, full_commutator_matrix, specialize
+from .liering import LieStructure, b_matrix_direct, build_structure, specialize
 from .rational import rf_series_coeffs
 from .zlinalg import _smith, hnf_mod, snf_valuations
-from .zetas import graded_ideal_zeta, ideal_zeta
+from .zetas import graded_ideal_zeta, ideal_zeta, numerical_data
 
 DEFAULT_CEILING = 10**8
 
@@ -442,52 +442,51 @@ def congruence_index_check(m: int, n: int, lattice_type: LatticeType, p: int,
     """Check that the solution index of the scaled commutator congruences
     depends only on the lattice type, via Smith valuations.
 
-    Builds the concatenated matrix whose j-th column block is the commutator
-    matrix at column j of a sampled antidiagonal representative, scaled by
-    p^(sum of jumps at positions >= j), and compares log_p of the index of
-    {g : g C = 0 mod p^r} with sum over jumps of r_i * (e + sum_{j>i} e(m,j)).
-    """
+    Block j is B at column j of a sampled antidiagonal representative times
+    p^(sum of jumps at positions >= j).  Up to sign, the commutator matrices
+    side by side split into the blocks side by side (B rows) and stacked (B^T
+    rows, transposed); log_p of the index of {g : g C = 0 mod p^r}, summed
+    over the two, must be the sum of r_i * (b_i - (n - i)), b_i as in
+    numerical_data.  Raises ValueError unless n >= 2 and positions lie in [1, n - 1]."""
     if n < 2:
         raise ValueError("need n >= 2")
-    dims = lie_dims(m, n)
+    if any(not 1 <= pos < n for pos in lattice_type.positions):
+        raise ValueError("positions must lie in [1, n - 1]")
+    b = b_matrix_direct(build_structure(m, n))
     rng = random.Random(seed)
     r = lattice_type.r_total()
     rep = sample_antidiagonal(n, p, r + 2, rng)
-    commutator = full_commutator_matrix(m, n)
     blocks = []
     for j in range(1, n + 1):
         scale = p ** sum(
             jump for pos, jump in zip(lattice_type.positions, lattice_type.jumps) if pos >= j
         )
-        block = specialize(commutator, tuple(row[j - 1] for row in rep))
-        blocks.append([[scale * v for v in row] for row in block])
-    concat = [sum((blocks[j][i] for j in range(n)), []) for i in range(dims.d)]
+        blocks.append(specialize(b, [scale * row[j - 1] for row in rep]))
+    side_by_side = [sum(rows, []) for rows in zip(*blocks)]
+    stacked = [row for block in blocks for row in block]
     # Valuations >= r add nothing to the index; the trivial type (r = 0) uses 1.
-    vals = snf_valuations(concat, p, max(r, 1))
-    log_index = sum(max(r - v, 0) for v in vals)
-    expected = sum(
-        jump * (dims.e + sum(e_count(m, j) for j in range(pos + 1, n + 1)))
-        for pos, jump in zip(lattice_type.positions, lattice_type.jumps)
-    )
+    log_index = sum(max(r - v, 0) for mat in (side_by_side, stacked)
+                    for v in snf_valuations(mat, p, max(r, 1)))
+    data = numerical_data(m, n)
+    expected = sum(jump * (data.b[pos] - (n - pos))
+                   for pos, jump in zip(lattice_type.positions, lattice_type.jumps))
     return log_index == expected
 
 
 def rep_matrix_check(m: int, n: int, p: int, precision: int, seed: int) -> bool:
-    """Check the Smith form of the commutator matrix at a primitive point:
-    2e unit divisors, everything else zero to the working precision."""
+    """Check that the bracket matrix B has e unit divisors at a primitive
+    point; [[0, -B^T], [B, 0]] has those of B and B^T and d - 2e zero ones."""
     require_prime(p)
     if precision < 1:
         raise ValueError("precision must be positive")
-    dims = lie_dims(m, n)
+    b = b_matrix_direct(build_structure(m, n))
     rng = random.Random(seed)
     modulus = p**precision
     while True:
         y = [rng.randrange(modulus) for _ in range(n)]
         if any(v % p for v in y):
             break
-    mat = specialize(full_commutator_matrix(m, n), y, modulus=modulus)
-    vals = snf_valuations(mat, p, precision)
-    return vals == (0,) * (2 * dims.e) + (precision,) * (dims.d - 2 * dims.e)
+    return snf_valuations(specialize(b, y), p, precision) == (0,) * b.cols
 
 
 @dataclass(frozen=True)
@@ -503,9 +502,9 @@ def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
     """Compare series coefficients of the closed form at q = p against the
     enumeration counts for indices p^0 .. p^upto.
 
-    Raises ValueError unless p is prime, m, n are positive and the ceiling
-    is nonnegative, and CeilingExceededError when enumeration_size, or a
-    cheap lower bound on it, exceeds the ceiling, before any work starts."""
+    Raises ValueError unless p is prime, m, n are positive, the ceiling is
+    nonnegative and d = e + f <= DIMS_BOUND, and CeilingExceededError when
+    enumeration_size, or a cheap lower bound, exceeds the ceiling, before any work."""
     require_prime(p)
     if ceiling is None:
         ceiling = DEFAULT_CEILING
@@ -514,6 +513,8 @@ def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
     if ceiling < 0:
         raise ValueError("the ceiling must be nonnegative")
     refuse_census(n, ceiling)
+    if dims_exceed(m, n):
+        raise ValueError(f"d = e + f exceeds {DIMS_BOUND}")
     _refuse_rows(e_count(m, n) + f_count(m, n), p, upto, ceiling)
     dims = lie_dims(m, n)
     estimate = enumeration_size(dims.d, dims.n, p, upto)

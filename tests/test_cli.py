@@ -200,6 +200,24 @@ def test_commat_charge_refuses_before_any_suite(capsys):
     assert err == "refused: enumeration size 149933025 exceeds the ceiling 100000000\n"
 
 
+def test_igusa_charge_refuses_before_any_suite(capsys, monkeypatch):
+    # 24 census_subtractions(14) = 24 * 4,898,816: six data sets, each
+    # summed twice along the subset chain
+    import nilzeta.cli as cli_mod
+
+    def igusa(m, n, seed):
+        raise AssertionError("the igusa suite ran")
+
+    monkeypatch.setattr(cli_mod, "_check_igusa", igusa)
+    assert run_cli(capsys, "check", "1", "14", "--suite", "igusa") == (
+        2, "", "refused: enumeration size 117571584 exceeds the ceiling 100000000\n")
+
+
+def test_igusa_charge_admits_small_pairs(capsys):
+    code, out, err = run_cli(capsys, "check", "2", "7", "--suite", "funceq,zero,igusa")
+    assert (code, out, err) == (0, "funceq: ok\nzero: ok\nigusa: ok\n", "")
+
+
 def test_dims_refusal_bound(capsys):
     # d = 811,801 is taken and d = 1,002,001 refused
     code, out, _ = run_cli(capsys, "rep", "900", "3")

@@ -4,13 +4,14 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from math import prod
 
 import pytest
 
 from nilzeta.combinat import PRIME_BOUND, compositions_revlex
 from nilzeta.igusa import census_subtractions
-from nilzeta import oracle
+from nilzeta import oracle, zetas
 from nilzeta.liering import abelian_structure, build_structure, rank_mod
 from nilzeta.oracle import (
     CeilingExceededError,
@@ -38,7 +39,7 @@ from nilzeta.oracle import (
 )
 from nilzeta.rational import rf_series_coeffs
 from nilzeta.zlinalg import hnf_mod
-from nilzeta.zetas import abelian_zeta, graded_ideal_zeta
+from nilzeta.zetas import abelian_zeta, check_functional_equation, check_zero_behaviour, graded_ideal_zeta
 
 
 def test_hnf_enumerate_small_counts():
@@ -299,6 +300,18 @@ def test_verify_dirichlet_ceiling():
         verify_dirichlet(1, 1, 2, 1, ceiling=-1)
 
 
+@pytest.mark.parametrize("m,n", [(1000, 3), (10**9, 2)])
+def test_verify_dirichlet_refuses_large_d_before_lie_dims(monkeypatch, m, n):
+    # at upto = 0 no row bound applies, so abelian_zeta(d) was built for any
+    # d, after an O(m) lie_dims
+    def lie_dims(m, n):
+        raise AssertionError("lie_dims ran")
+
+    monkeypatch.setattr(oracle, "lie_dims", lie_dims)
+    with pytest.raises(ValueError, match=r"d = e \+ f exceeds 1000000"):
+        verify_dirichlet(m, n, 2, 0)
+
+
 # (n, upto) -> enumeration_size of verify(1, n, 2, upto): the row residues
 # are few, the census subtractions are over the default ceiling
 CENSUS_REFUSALS = {(18, 1): 171573267, (20, 2): 951321248}
@@ -416,6 +429,49 @@ def test_congruence_grenham_single_jump(p):
 def test_congruence_23_full_type():
     for seed in range(100):
         assert congruence_index_check(2, 3, LatticeType((1, 2), (1, 1)), 2, seed)
+
+
+@pytest.mark.parametrize("position", [0, 3])
+def test_congruence_refuses_positions_outside_the_range(position):
+    # position 3 = n used to return False and position 0 True, silently
+    with pytest.raises(ValueError, match="positions"):
+        congruence_index_check(2, 3, LatticeType((position,), (1,)), 2, 1)
+
+
+def _sees_index_data(m, n):
+    """Whether a check that enumerates nothing passes on (m, n)."""
+    return (check_functional_equation(m, n) and check_zero_behaviour(m, n) == (True, True)
+            and all(congruence_index_check(m, n, LatticeType((j,), (1,)), p, seed=7)
+                    for j in range(1, n) for p in (2, 3)))
+
+
+def test_closed_form_checks_catch_every_index_data_mutant(monkeypatch):
+    # each a_i and b_i moved by one, for (m, n) up to (3, 4); a wrong b_i
+    # with i >= 1 used to pass every closed-form check
+    real = zetas.numerical_data
+    tried, survivors = 0, []
+    for m in range(1, 4):
+        for n in range(1, 5):
+            data = real(m, n)
+            assert _sees_index_data(m, n)
+            for name in ("a", "b"):
+                for i in range(n):
+                    for step in (-1, 1):
+                        values = list(getattr(data, name))
+                        values[i] += step
+                        if name == "b" and values[i] < 1:
+                            continue
+                        mutant = replace(data, **{name: tuple(values)})
+
+                        def patched(mm, nn, m=m, n=n, mutant=mutant):
+                            return mutant if (mm, nn) == (m, n) else real(mm, nn)
+
+                        monkeypatch.setattr(zetas, "numerical_data", patched)
+                        monkeypatch.setattr(oracle, "numerical_data", patched)
+                        tried += 1
+                        if _sees_index_data(m, n):
+                            survivors.append((m, n, name, i, step))
+    assert (tried, survivors) == (120, [])
 
 
 def test_congruence_deterministic_in_seed():
