@@ -22,9 +22,10 @@ descent set S of [n-1], the length generating function beta_S of the
 permutations with descent set exactly S, so that the numerator is the sum
 over S of beta_S(Y) prod_{j in S} X_j.
 
-A third form factors 1/(1 - X_n) out of a subset sum over [n-1], for
-cross-checking only.  The topological degeneration is a LinearFactorRational
-in s, the reduced one a RationalFunction in t alone (t standing for Y).
+igusa_middle is the subset chain without its first step, which multiplies
+by 1; it is kept only while perfbench/spans.py binds it by name.  The
+topological degeneration is a LinearFactorRational in s, the reduced one a
+RationalFunction in t alone (t standing for Y).
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def igusa_subset(data: IgusaData) -> RationalFunction:
 
 
 def igusa_middle(data: IgusaData) -> RationalFunction:
-    """Variant that factors 1/(1 - X_n) out of a subset sum over [n-1]."""
+    """The subset chain without its step i = n, which multiplies by 1: {n: 1} becomes
+    {n: (1 - X_n) + X_n (n choose n)_Y} = {n: 1}.  Kept only while perfbench/spans.py binds it."""
     return _subset_sum(data, data.n - 1)
 
 

@@ -494,7 +494,10 @@ class VerifyRecord:
     k: int
     formula: int
     oracle: int
-    match: bool
+
+    @property
+    def match(self) -> bool:
+        return self.formula == self.oracle
 
 
 def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
@@ -530,8 +533,5 @@ def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
         value = coeffs[k].value_at_q(p)
         if value.denominator != 1:
             raise AssertionError("series coefficient is not integral at q = p")
-        formula = value.numerator
-        records.append(
-            VerifyRecord(k=k, formula=formula, oracle=oracle_counts[k], match=formula == oracle_counts[k])
-        )
+        records.append(VerifyRecord(k=k, formula=value.numerator, oracle=oracle_counts[k]))
     return records

@@ -1,10 +1,12 @@
 """CLI: rendering fixtures, exit codes, JSON round trips, byte stability."""
 
+import importlib
 import json
 import re
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -201,16 +203,38 @@ def test_commat_charge_refuses_before_any_suite(capsys):
 
 
 def test_igusa_charge_refuses_before_any_suite(capsys, monkeypatch):
-    # 24 census_subtractions(14) = 24 * 4,898,816: six data sets, each
-    # summed twice along the subset chain
+    # 12 census_subtractions(15) = 12 * 12,156,928: six data sets, each
+    # summed once along the subset chain
     import nilzeta.cli as cli_mod
 
     def igusa(m, n, seed):
         raise AssertionError("the igusa suite ran")
 
     monkeypatch.setattr(cli_mod, "_check_igusa", igusa)
-    assert run_cli(capsys, "check", "1", "14", "--suite", "igusa") == (
-        2, "", "refused: enumeration size 117571584 exceeds the ceiling 100000000\n")
+    assert run_cli(capsys, "check", "1", "15", "--suite", "igusa") == (
+        2, "", "refused: enumeration size 145883136 exceeds the ceiling 100000000\n")
+
+
+def test_igusa_charge_admits_degree_14(capsys, monkeypatch):
+    # 12 census_subtractions(14) = 58,785,792, under the ceiling
+    import nilzeta.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_check_igusa", lambda m, n, seed: True)
+    assert run_cli(capsys, "check", "1", "14", "--suite", "igusa") == (0, "igusa: ok\n", "")
+
+
+def test_check_igusa_sums_each_data_set_once(capsys, monkeypatch):
+    # six data sets, one subset chain each; the permutation form reads the census
+    calls = []
+    real = igusa._subset_sum
+
+    def counted(data, top):
+        calls.append(top)
+        return real(data, top)
+
+    monkeypatch.setattr(igusa, "_subset_sum", counted)
+    assert run_cli(capsys, "check", "2", "4", "--suite", "igusa") == (0, "igusa: ok\n", "")
+    assert calls == [4] * 6
 
 
 def test_igusa_charge_admits_small_pairs(capsys):
@@ -345,6 +369,17 @@ def test_check_commat_sees_every_line(capsys, monkeypatch, q, n):
         assert run_cli(capsys, "check", "1", str(n), "--suite", "commat") == (1, "commat: FAIL\n", "")
 
 
+def test_check_commat_builds_no_commutator_matrix(capsys, monkeypatch):
+    # the d x d matrix M is built only to print it under --print
+    import nilzeta.cli as cli_mod
+
+    def commutator(m, n):
+        raise AssertionError("full_commutator_matrix was built")
+
+    monkeypatch.setattr(cli_mod, "full_commutator_matrix", commutator)
+    assert run_cli(capsys, "check", "2", "3", "--suite", "commat") == (0, "commat: ok\n", "")
+
+
 def test_check_commat_print(capsys):
     code, out, _ = run_cli(capsys, "check", "1", "2", "--suite", "commat", "--print")
     assert code == 0
@@ -372,7 +407,7 @@ def test_verify_mismatch_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(
         cli_mod,
         "verify_dirichlet",
-        lambda *a, **k: [VerifyRecord(k=0, formula=1, oracle=2, match=False)],
+        lambda *a, **k: [VerifyRecord(k=0, formula=1, oracle=2)],
     )
     code, out, _ = run_cli(capsys, "verify", "1", "1")
     assert code == 1
@@ -398,6 +433,30 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "1", "1", "--prime", "4"])
     assert exc.value.code == 2
+
+
+def _console_script():
+    """The function the `nilzeta` console script of pyproject.toml names."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^nilzeta = "([\w.]+):(\w+)"$', text, re.MULTILINE).groups()
+    return getattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(("ideal", "1", "1"), 0, id="ok"),
+    pytest.param(("rep", "1000", "3"), 2, id="refused"),
+    pytest.param(("check", "1", "2", "--suite", "repmat"), 1, id="fail"),
+])
+def test_console_script_exit_codes(capsys, monkeypatch, argv, code):
+    import nilzeta.cli as cli_mod
+
+    script = _console_script()
+    assert script is cli_mod.console_main
+    monkeypatch.setattr(cli_mod, "_check_repmat", lambda m, n, seed: False)
+    monkeypatch.setattr(sys, "argv", ["nilzeta", *argv])
+    with pytest.raises(SystemExit) as exc:
+        script()
+    assert exc.value.code == code
 
 
 def test_verify_bad_ceiling_env_is_usage_error(capsys, monkeypatch):
