@@ -501,7 +501,7 @@ class VerifyRecord:
 
 
 def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
-                     ceiling: int | None = None) -> list[VerifyRecord]:
+                     ceiling: int = DEFAULT_CEILING) -> list[VerifyRecord]:
     """Compare series coefficients of the closed form at q = p against the
     enumeration counts for indices p^0 .. p^upto.
 
@@ -509,8 +509,6 @@ def verify_dirichlet(m: int, n: int, p: int, upto: int, graded: bool = False,
     nonnegative and d = e + f <= DIMS_BOUND, and CeilingExceededError when
     enumeration_size, or a cheap lower bound, exceeds the ceiling, before any work."""
     require_prime(p)
-    if ceiling is None:
-        ceiling = DEFAULT_CEILING
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if ceiling < 0:

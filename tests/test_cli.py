@@ -91,11 +91,12 @@ def test_verify_ceiling_refusal(capsys):
     assert "refused" in err
 
 
-def test_verify_ceiling_env(capsys, monkeypatch):
-    monkeypatch.setenv("NILZETA_ORACLE_CEILING", "1000")
-    code, _, err = run_cli(capsys, "verify", "2", "3", "--prime", "2", "--upto", "6")
-    assert code == 2
-    assert "refused" in err
+def test_verify_ignores_the_environment(capsys, monkeypatch):
+    # the ceiling is set only with --ceiling
+    monkeypatch.setenv("NILZETA_ORACLE_CEILING", "abc")
+    code, out, err = run_cli(capsys, "verify", "1", "1", "--upto", "2")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 3
 
 
 @pytest.mark.parametrize("n,upto,estimate", [
@@ -311,6 +312,17 @@ def test_check_random_suites(capsys):
     assert out.count(": ok") == 2
 
 
+def test_check_repmat_samples_primes_commat_does_not(capsys, monkeypatch):
+    # commat's rank tests at p = 2 and 3 already imply repmat's result there
+    import nilzeta.cli as cli_mod
+
+    primes = []
+    monkeypatch.setattr(cli_mod, "rep_matrix_check",
+                        lambda m, n, p, precision, seed: primes.append(p) or True)
+    assert run_cli(capsys, "check", "2", "3", "--suite", "repmat") == (0, "repmat: ok\n", "")
+    assert primes == [5] * 5 + [7] * 5
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_check_commat_tests_one_point_per_line(capsys, monkeypatch, n):
     import nilzeta.cli as cli_mod
@@ -386,18 +398,28 @@ def test_check_commat_print(capsys):
     assert "B(1,2):" in out and "M(1,2):" in out and "Y1" in out
 
 
+def _usage_error(capsys, *argv) -> str:
+    """Run argv, which must be a usage error; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 def test_check_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "check", "1", "1", "--suite", "nope")
-    assert code == 2
-    assert "unknown suite" in err
+    assert "unknown suite" in _usage_error(capsys, "check", "1", "1", "--suite", "nope")
+
+
+def test_check_unknown_suite_is_reported_before_the_census_refusal(capsys):
+    err = _usage_error(capsys, "check", "1", "18", "--suite", "nope")
+    assert "nope" in err and "refused" not in err
 
 
 @pytest.mark.parametrize("suite", [",", "", " , "])
 def test_check_empty_suite_list(capsys, suite):
-    code, out, err = run_cli(capsys, "check", "2", "3", "--suite", suite)
-    assert code == 2
-    assert out == ""
-    assert "no suite" in err
+    assert "no suite" in _usage_error(capsys, "check", "2", "3", "--suite", suite)
 
 
 def test_verify_mismatch_exit_one(capsys, monkeypatch):
@@ -459,21 +481,24 @@ def test_console_script_exit_codes(capsys, monkeypatch, argv, code):
     assert exc.value.code == code
 
 
-def test_verify_bad_ceiling_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("NILZETA_ORACLE_CEILING", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "1", "1"])
-    assert exc.value.code == 2
-    assert "NILZETA_ORACLE_CEILING" in capsys.readouterr().err
-    monkeypatch.setenv("NILZETA_ORACLE_CEILING", "-1")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "1", "1"])
-    assert exc.value.code == 2
-    assert "NILZETA_ORACLE_CEILING" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "1", "1", "--ceiling", "-1"])
-    assert exc.value.code == 2
-    assert "--ceiling" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,name", [
+    pytest.param(("ideal", "0", "1"), "m", id="m"),
+    pytest.param(("check", "1", "-2"), "n", id="n"),
+    pytest.param(("coeffs", "1", "1", "--upto", "-1"), "--upto", id="upto"),
+    pytest.param(("verify", "1", "1", "--threads", "0"), "--threads", id="threads"),
+    pytest.param(("verify", "1", "1", "--ceiling", "-1"), "--ceiling", id="ceiling"),
+])
+def test_integer_bounds_are_usage_errors(capsys, argv, name):
+    assert f"{name} must be at least" in _usage_error(capsys, *argv)
+
+
+def test_parser_verbs_are_the_verb_table():
+    import argparse
+
+    import nilzeta.cli as cli_mod
+
+    (sub,) = [a for a in cli_mod.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli_mod._VERBS)
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
