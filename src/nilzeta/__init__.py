@@ -16,6 +16,7 @@ from .liering import (
     LinearFormMatrix,
     b_matrix_direct,
     b_matrix_recursive,
+    bracket_matrix,
     build_structure,
     full_commutator_matrix,
     specialize,

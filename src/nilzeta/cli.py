@@ -22,9 +22,8 @@ from .combinat import DIMS_BOUND, dims_exceed, e_count, f_count, lie_dims, requi
 from .igusa import IgusaData, census_subtractions, igusa_permutation, igusa_subset
 from .laurent import LaurentPoly, format_terms, poly_text
 from .liering import (
-    b_matrix_direct,
     b_matrix_recursive,
-    build_structure,
+    bracket_matrix,
     full_commutator_matrix,
     rank_mod,
     render_linear_matrix,
@@ -227,7 +226,7 @@ def render_report(report: ZetaReport, fmt: str) -> str:
     pair = {"m": report.dims.m, "n": report.dims.n}
     dims, data = _dims_fields(report.dims, report.data)
     # every field after the dimensions and the data, in declaration order
-    fields = {key: value for key, value in vars(report).items() if key not in ("dims", "data")}
+    fields = {key: getattr(report, key) for key in ZetaReport.__slots__ if key not in ("dims", "data")}
     if fmt == "json":
         fields = {**pair, "dims": dims, "data": data, **fields}
     # the text form opens with the pair, its dimensions and its data
@@ -247,8 +246,7 @@ def _check_igusa(m: int, n: int, seed: int) -> bool:
 
 
 def _check_commat(m: int, n: int, do_print: bool) -> bool:
-    struct = build_structure(m, n)
-    direct = b_matrix_direct(struct)
+    direct = bracket_matrix(m, n)
     recursive = b_matrix_recursive(m, n)
     if do_print:
         print(f"B({m},{n}):")
@@ -263,7 +261,7 @@ def _check_commat(m: int, n: int, do_print: bool) -> bool:
         for k in range(n):
             for head in product(range(q), repeat=k):
                 y = (*head, 1) + (0,) * (n - 1 - k)
-                if rank_mod(specialize(direct, y), q) != struct.dims.e:
+                if rank_mod(specialize(direct, y), q) != direct.cols:
                     return False
     return True
 

@@ -10,10 +10,10 @@ plain coefficient tuples, low degree first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from operator import attrgetter
 
 
 def permutations_with_stats(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
@@ -157,17 +157,63 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p must be a prime below {PRIME_BOUND}, got {p}")
 
 
-@dataclass(frozen=True)
-class LieDims:
+class Value:
+    """Base of the package's value types: immutable, with the names in
+    `__slots__` as its fields, in order.
+
+    Each subclass's `__init__` canonicalises its arguments, sets each field
+    once with `object.__setattr__` and stores nothing derivable.  As a frozen
+    dataclass would, the base makes assignment and deletion raise
+    AttributeError, makes an instance equal only to one of the same type with
+    equal fields, hashes the field tuple, reads `Name(field=value, ...)` as
+    its repr, and copies and pickles.  A per-class `attrgetter` reads the
+    field tuple; for a type of one field it reads the bare value, so such a
+    type (`LaurentPoly`) defines its own `__eq__` and `__hash__`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle cannot set the fields, so they call the constructor,
+        # which takes the fields in order and leaves canonical ones unchanged
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class LieDims(Value):
     """Ranks attached to the pair (m, n): e, f count the two generator layers,
     d = e + f is the abelianization rank, h = d + n the total rank."""
 
-    m: int
-    n: int
-    e: int
-    f: int
-    d: int
-    h: int
+    __slots__ = ("m", "n", "e", "f", "d", "h")
+
+    def __init__(self, m: int, n: int, e: int, f: int, d: int, h: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "h", h)
 
 
 def e_count(m: int, n: int) -> int:

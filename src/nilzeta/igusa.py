@@ -30,26 +30,25 @@ RationalFunction in t alone (t standing for Y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .combinat import gaussian_binomial, gaussian_multinomials
+from .combinat import Value, gaussian_binomial, gaussian_multinomials
 from .laurent import LaurentPoly
 from .rational import RationalFunction
 from .univariate import LinearFactorRational
 
 
-@dataclass(frozen=True)
-class IgusaData:
+class IgusaData(Value):
     """Input data: the Gaussian parameter q^y_qexp and n monomials (a_j, b_j)."""
 
-    y_qexp: int
-    x: tuple[tuple[int, int], ...]
+    __slots__ = ("y_qexp", "x")
 
-    def __post_init__(self):
-        if not self.x:
+    def __init__(self, y_qexp: int, x: tuple[tuple[int, int], ...]):
+        if not x:
             raise ValueError("degree must be positive")
+        object.__setattr__(self, "y_qexp", y_qexp)
+        object.__setattr__(self, "x", x)
 
     @property
     def n(self) -> int:

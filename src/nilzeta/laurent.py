@@ -14,18 +14,20 @@ loop behind the text and LaTeX renderings and `repr`.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+
+from .combinat import Value
 
 
-class LaurentPoly:
+class LaurentPoly(Value):
     """Immutable Laurent polynomial in q and t over the integers.
 
-    Unlike the package's other value types, which are frozen dataclasses, it
-    keeps a hand-written constructor and `__slots__`: the constructor is the
-    package's one merge of equal keys, and the class has by far the most
-    instances.
+    A value type like the package's others, but with its own equality and
+    hash: a constant polynomial equals (and hashes like) its integer.  Its
+    one field `_terms` is the canonical term dict, and its constructor is the
+    package's one merge of equal keys.
     """
 
     __slots__ = ("_terms",)
@@ -35,9 +37,6 @@ class LaurentPoly:
         for key, c in terms.items() if isinstance(terms, Mapping) else terms:
             data[key] = data.get(key, 0) + c
         object.__setattr__(self, "_terms", {(int(q), int(t)): c for (q, t), c in data.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls) -> "LaurentPoly":

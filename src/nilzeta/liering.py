@@ -15,24 +15,27 @@ a block-bidiagonal recursion in n.  The two must agree entrywise.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from functools import lru_cache
 
-from .combinat import LieDims, compositions_revlex, e_count, lie_dims, require_prime
+from .combinat import LieDims, Value, compositions_revlex, e_count, lie_dims, require_prime
 from .zlinalg import _smith
 
 
-@dataclass(frozen=True)
-class LieStructure:
+class LieStructure(Value):
     """Structure constants over the ordered basis (x_e..., y_f..., z_1..z_n).
 
     brackets holds triples (ix, iy, k): [x at position ix, y at position iy]
     equals z_k (1-based k); all other brackets of generators vanish.
     """
 
-    dims: LieDims
-    basis_x: tuple[tuple[int, ...], ...]
-    basis_y: tuple[tuple[int, ...], ...]
-    brackets: tuple[tuple[int, int, int], ...]
+    __slots__ = ("dims", "basis_x", "basis_y", "brackets")
+
+    def __init__(self, dims: LieDims, basis_x: tuple[tuple[int, ...], ...],
+                 basis_y: tuple[tuple[int, ...], ...], brackets: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "basis_x", basis_x)
+        object.__setattr__(self, "basis_y", basis_y)
+        object.__setattr__(self, "brackets", brackets)
 
 
 def build_structure(m: int, n: int) -> LieStructure:
@@ -54,27 +57,26 @@ def abelian_structure(m: int, n: int) -> LieStructure:
     return LieStructure(dims=s.dims, basis_x=s.basis_x, basis_y=s.basis_y, brackets=())
 
 
-@dataclass(frozen=True)
-class LinearFormMatrix:
+class LinearFormMatrix(Value):
     """Matrix whose entries are integer linear forms in Y_1..Y_nvars.
 
     Entries are stored sparsely in `forms`, (row, col) -> coefficient tuple;
     absent entries are zero.  Stored coefficient vectors are never all-zero.
     """
 
-    rows: int
-    cols: int
-    nvars: int
-    forms: dict
+    __slots__ = ("rows", "cols", "nvars", "forms")
 
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, nvars: int, forms: dict):
         clean = {}
-        for key, coeffs in self.forms.items():
+        for key, coeffs in forms.items():
             coeffs = tuple(coeffs)
-            if len(coeffs) != self.nvars:
+            if len(coeffs) != nvars:
                 raise ValueError("coefficient vector has wrong length")
             if any(coeffs):
                 clean[key] = coeffs
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "forms", clean)
 
     def entry(self, i: int, j: int) -> tuple[int, ...]:
@@ -97,6 +99,13 @@ def b_matrix_direct(struct: LieStructure) -> LinearFormMatrix:
         coeffs[k - 1] = 1
         entries[(iy, ix)] = tuple(coeffs)
     return LinearFormMatrix(struct.dims.f, struct.dims.e, n, entries)
+
+
+@lru_cache(maxsize=1)
+def bracket_matrix(m: int, n: int) -> LinearFormMatrix:
+    """B for L(m, n), built once for every check that eliminates it; only the
+    last pair's B is kept, so no cache holds a large B for good."""
+    return b_matrix_direct(build_structure(m, n))
 
 
 def _b_recursive_entries(m: int, n: int, var_offset: int, nvars: int, entries: dict,

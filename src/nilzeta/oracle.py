@@ -58,17 +58,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 from math import comb
-from typing import Iterator
 
-from .combinat import (DIMS_BOUND, compositions_revlex, dims_exceed, e_count, f_count, gaussian_binomial,
-                       gaussian_multinomial, lie_dims, require_prime)
+from .combinat import (DIMS_BOUND, Value, compositions_revlex, dims_exceed, e_count, f_count,
+                       gaussian_binomial, gaussian_multinomial, lie_dims, require_prime)
 from .igusa import census_subtractions
-from .liering import LieStructure, b_matrix_direct, build_structure, specialize
+from .liering import LieStructure, bracket_matrix, build_structure, specialize
 from .rational import rf_series_coeffs
 from .zlinalg import _smith, hnf_mod, snf_valuations
 from .zetas import graded_ideal_zeta, ideal_zeta, numerical_data
@@ -339,21 +338,21 @@ def count_graded_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class LatticeType:
+class LatticeType(Value):
     """Elementary-divisor type of a maximal sublattice: jump positions I in
     [n-1] with positive jump sizes r."""
 
-    positions: tuple[int, ...]
-    jumps: tuple[int, ...]
+    __slots__ = ("positions", "jumps")
 
-    def __post_init__(self):
-        if len(self.positions) != len(self.jumps):
+    def __init__(self, positions: tuple[int, ...], jumps: tuple[int, ...]):
+        if len(positions) != len(jumps):
             raise ValueError("positions and jumps must align")
-        if any(r < 1 for r in self.jumps):
+        if any(r < 1 for r in jumps):
             raise ValueError("jumps must be positive")
-        if list(self.positions) != sorted(set(self.positions)):
+        if list(positions) != sorted(set(positions)):
             raise ValueError("positions must be strictly increasing")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "jumps", jumps)
 
     def r_total(self) -> int:
         return sum(self.jumps)
@@ -452,7 +451,7 @@ def congruence_index_check(m: int, n: int, lattice_type: LatticeType, p: int,
         raise ValueError("need n >= 2")
     if any(not 1 <= pos < n for pos in lattice_type.positions):
         raise ValueError("positions must lie in [1, n - 1]")
-    b = b_matrix_direct(build_structure(m, n))
+    b = bracket_matrix(m, n)
     rng = random.Random(seed)
     r = lattice_type.r_total()
     rep = sample_antidiagonal(n, p, r + 2, rng)
@@ -479,7 +478,7 @@ def rep_matrix_check(m: int, n: int, p: int, precision: int, seed: int) -> bool:
     require_prime(p)
     if precision < 1:
         raise ValueError("precision must be positive")
-    b = b_matrix_direct(build_structure(m, n))
+    b = bracket_matrix(m, n)
     rng = random.Random(seed)
     modulus = p**precision
     while True:
@@ -489,11 +488,13 @@ def rep_matrix_check(m: int, n: int, p: int, precision: int, seed: int) -> bool:
     return snf_valuations(specialize(b, y), p, precision) == (0,) * b.cols
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
-    k: int
-    formula: int
-    oracle: int
+class VerifyRecord(Value):
+    __slots__ = ("k", "formula", "oracle")
+
+    def __init__(self, k: int, formula: int, oracle: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "oracle", oracle)
 
     @property
     def match(self) -> bool:

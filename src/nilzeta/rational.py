@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from math import ceil, comb, prod
-from typing import Iterable
 
+from .combinat import Value
 from .laurent import LaurentPoly
 
 
@@ -33,21 +33,21 @@ class PoleAtT1Error(ArithmeticError):
         self.order = order
 
 
-@dataclass(frozen=True)
-class DenomFactor:
+class DenomFactor(Value):
     """One denominator factor (1 - q^a t^b)^mult."""
 
-    a: int
-    b: int
-    mult: int = 1
+    __slots__ = ("a", "b", "mult")
 
-    def __post_init__(self):
-        if self.b < 0:
+    def __init__(self, a: int, b: int, mult: int = 1):
+        if b < 0:
             raise ValueError("t-exponent of a denominator factor must be nonnegative")
-        if (self.a, self.b) == (0, 0):
+        if (a, b) == (0, 0):
             raise ValueError("denominator factor (1 - 1) is zero")
-        if self.mult < 1:
+        if mult < 1:
             raise ValueError("denominator factor multiplicity must be positive")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "mult", mult)
 
     def base_poly(self) -> LaurentPoly:
         return LaurentPoly({(0, 0): 1, (self.a, self.b): -1})
@@ -68,15 +68,14 @@ def _canonical_factors(factors: Iterable) -> tuple[DenomFactor, ...]:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RationalFunction:
+class RationalFunction(Value):
     """num / prod((1 - q^a t^b)^mult), with mathematical equality."""
 
-    num: LaurentPoly
-    den: tuple[DenomFactor, ...] = ()
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        object.__setattr__(self, "den", _canonical_factors(self.den))
+    def __init__(self, num: LaurentPoly, den: Iterable = ()):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", _canonical_factors(den))
 
     def den_counter(self) -> Counter:
         return Counter({(f.a, f.b): f.mult for f in self.den})
@@ -215,12 +214,14 @@ def rf_series_work(x: RationalFunction, upto: int) -> tuple[int, int]:
     return ceil(sum(f.mult * held(upto - f.b + 1) for f in x.den)), ceil(held(upto + 1))
 
 
-@dataclass(frozen=True)
-class LaurentQuotient:
+class LaurentQuotient(Value):
     """A quotient of Laurent polynomials in q alone (result of t -> 1 limits)."""
 
-    num: LaurentPoly
-    den: LaurentPoly
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def equal(self, other) -> bool:
         if isinstance(other, LaurentQuotient):

@@ -13,12 +13,11 @@ mathematical, by cross-multiplied expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
 
-from .combinat import poly_mul
+from .combinat import Value, poly_mul
 
 
 def _expand(factors: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -39,18 +38,16 @@ def _primitive(factors) -> tuple[int, tuple[tuple[int, int], ...]]:
     return content, tuple(out)
 
 
-@dataclass(frozen=True)
-class LinearFactorRational:
-    const: Fraction
-    num_factors: tuple[tuple[int, int], ...] = ()
-    den_factors: tuple[tuple[int, int], ...] = ()
+class LinearFactorRational(Value):
+    __slots__ = ("const", "num_factors", "den_factors")
 
-    def __post_init__(self):
+    def __init__(self, const: Fraction, num_factors: tuple[tuple[int, int], ...] = (),
+                 den_factors: tuple[tuple[int, int], ...] = ()):
         # the factors' contents are multiplied out as integers and reach the
         # constant in one division, which reduces it once, not once per factor
-        up, num_factors = _primitive(self.num_factors)
-        down, den_factors = _primitive(self.den_factors)
-        object.__setattr__(self, "const", Fraction(self.const) * up / down)
+        up, num_factors = _primitive(num_factors)
+        down, den_factors = _primitive(den_factors)
+        object.__setattr__(self, "const", Fraction(const) * up / down)
         object.__setattr__(self, "num_factors", num_factors)
         object.__setattr__(self, "den_factors", den_factors)
 

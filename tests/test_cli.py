@@ -59,6 +59,15 @@ def test_ideal_23_latex_subprocess_stable(capsys):
     assert proc.stdout == inproc
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # every CLI op pays for what importing the CLI loads; -S keeps a site
+    # hook from loading typing before the package does
+    code = ("import sys, nilzeta.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_invariants_json_fixture(capsys):
     code, out, _ = run_cli(capsys, "invariants", "2", "3", "--format", "json")
     assert code == 0
@@ -376,9 +385,23 @@ def test_check_commat_sees_every_line(capsys, monkeypatch, q, n):
         mutant = LinearFormMatrix(n, 1, n, {
             (i, 0): tuple(_crt(c, i == j) if q == 2 else _crt(i == j, c) for j, c in enumerate(row))
             for i, row in enumerate(_vanishing_on(line, n))})
-        monkeypatch.setattr(cli_mod, "b_matrix_direct", lambda struct: mutant)
+        monkeypatch.setattr(cli_mod, "bracket_matrix", lambda m, n: mutant)
         monkeypatch.setattr(cli_mod, "b_matrix_recursive", lambda m, n: mutant)
         assert run_cli(capsys, "check", "1", str(n), "--suite", "commat") == (1, "commat: FAIL\n", "")
+
+
+def test_check_builds_the_bracket_matrix_once(capsys, monkeypatch):
+    # ten congruence checks, ten repmat checks and commat share one B, and
+    # the cache keeps only the last pair's
+    from nilzeta import liering
+
+    real, built = liering.b_matrix_direct, []
+    monkeypatch.setattr(liering, "b_matrix_direct", lambda struct: built.append(struct.dims) or real(struct))
+    liering.bracket_matrix.cache_clear()
+    code, out, _ = run_cli(capsys, "check", "2", "4", "--suite", "congruence,repmat,commat")
+    assert (code, out) == (0, "congruence: ok\nrepmat: ok\ncommat: ok\n")
+    assert [(dims.m, dims.n) for dims in built] == [(2, 4)]
+    assert liering.bracket_matrix.cache_info().maxsize == 1
 
 
 def test_check_commat_builds_no_commutator_matrix(capsys, monkeypatch):

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from math import prod
 
 import pytest
@@ -39,7 +38,8 @@ from nilzeta.oracle import (
 )
 from nilzeta.rational import rf_series_coeffs
 from nilzeta.zlinalg import hnf_mod
-from nilzeta.zetas import abelian_zeta, check_functional_equation, check_zero_behaviour, graded_ideal_zeta
+from nilzeta.zetas import (NumericalData, abelian_zeta, check_functional_equation, check_zero_behaviour,
+                           graded_ideal_zeta)
 
 
 def test_hnf_enumerate_small_counts():
@@ -461,7 +461,7 @@ def test_closed_form_checks_catch_every_index_data_mutant(monkeypatch):
                         values[i] += step
                         if name == "b" and values[i] < 1:
                             continue
-                        mutant = replace(data, **{name: tuple(values)})
+                        mutant = NumericalData(**{"a": data.a, "b": data.b, name: tuple(values)})
 
                         def patched(mm, nn, m=m, n=n, mutant=mutant):
                             return mutant if (mm, nn) == (m, n) else real(mm, nn)
