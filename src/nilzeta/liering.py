@@ -153,18 +153,26 @@ def full_commutator_matrix(m: int, n: int) -> LinearFormMatrix:
     return LinearFormMatrix(e + f, e + f, nv, entries)
 
 
-def specialize(mat: LinearFormMatrix, y) -> list[list[int]]:
-    """Evaluate every linear form at the integer vector y."""
+def specialize(mat: LinearFormMatrix, y) -> list[dict[int, int]]:
+    """Evaluate every linear form at the integer vector y, into the rows that
+    zlinalg eliminates: one dict per row, from column to nonzero value.
+    Each distinct form is evaluated once (B's forms are the n variables)."""
     if len(y) != mat.nvars:
         raise ValueError(f"expected {mat.nvars} values, got {len(y)}")
-    out = [[0] * mat.cols for _ in range(mat.rows)]
+    out = [{} for _ in range(mat.rows)]
+    values: dict = {}
     for (i, j), coeffs in mat.forms.items():
-        out[i][j] = sum(map(operator.mul, coeffs, y))
+        x = values.get(coeffs)
+        if x is None:
+            x = values[coeffs] = sum(map(operator.mul, coeffs, y))
+        if x:
+            out[i][j] = x
     return out
 
 
-def rank_mod(matrix: list[list[int]], p: int) -> int:
-    """Rank over F_p, the number of unit elementary divisors; p must be prime."""
+def rank_mod(matrix, p: int) -> int:
+    """Rank over F_p of a matrix in any form snf_valuations takes, the number
+    of unit elementary divisors; p must be prime."""
     require_prime(p)
     return _smith(matrix, p, 1).count(0)
 

@@ -461,7 +461,8 @@ def congruence_index_check(m: int, n: int, lattice_type: LatticeType, p: int,
             jump for pos, jump in zip(lattice_type.positions, lattice_type.jumps) if pos >= j
         )
         blocks.append(specialize(b, [scale * row[j - 1] for row in rep]))
-    side_by_side = [sum(rows, []) for rows in zip(*blocks)]
+    side_by_side = [{j + k * b.cols: x for k, row in enumerate(rows) for j, x in row.items()}
+                    for rows in zip(*blocks)]
     stacked = [row for block in blocks for row in block]
     # Valuations >= r add nothing to the index; the trivial type (r = 0) uses 1.
     log_index = sum(max(r - v, 0) for mat in (side_by_side, stacked)
