@@ -1,5 +1,7 @@
 """Permutation statistics, Gaussian q-binomials, ordered composition sets,
-and a deterministic primality test.
+a deterministic primality test, the base class `Value` of the package's
+value types, and the ranks `LieDims` of the pair (m, n) with the bound
+on d that every entry point checks.
 
 Permutations of [n] are one-line tuples; the length statistic is the
 inversion count and descents are the positions i in [n-1] with
@@ -104,22 +106,30 @@ def gaussian_multinomials(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
 
 
 def compositions_revlex(total: int, n: int) -> list[tuple[int, ...]]:
-    """All vectors in N_0^n with coordinate sum `total`, largest-lex first."""
+    """All vectors in N_0^n with coordinate sum `total`, largest-lex first.
+
+    Each vector after the first is the next smaller one: take a unit from
+    the last nonzero coordinate before the final one, and put it, with all
+    of the final coordinate, into that coordinate's right neighbour.  A loop,
+    not a recursion, so n may be as large as a ring's d.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    out: list[tuple[int, ...]] = []
     if total < 0:
-        return out
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining, -1, -1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), total, n)
-    return out
+        return []
+    comp = [total] + [0] * (n - 1)
+    out = [tuple(comp)]
+    while True:
+        i = n - 2
+        while i >= 0 and not comp[i]:
+            i -= 1
+        if i < 0:
+            return out
+        tail = comp[-1]
+        comp[-1] = 0
+        comp[i] -= 1
+        comp[i + 1] = tail + 1
+        out.append(tuple(comp))
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below PRIME_BOUND.
@@ -161,8 +171,10 @@ class Value:
     """Base of the package's value types: immutable, with the names in
     `__slots__` as its fields, in order.
 
-    Each subclass's `__init__` canonicalises its arguments, sets each field
-    once with `object.__setattr__` and stores nothing derivable.  As a frozen
+    Its constructor alone stores fields, binding positional and then keyword
+    arguments; a missing, extra, repeated or unknown field is a TypeError.  A
+    pure record has no `__init__`; one that canonicalises ends its own in
+    `super().__init__(...)` and stores nothing derivable.  As a frozen
     dataclass would, the base makes assignment and deletion raise
     AttributeError, makes an instance equal only to one of the same type with
     equal fields, hashes the field tuple, reads `Name(field=value, ...)` as
@@ -176,6 +188,18 @@ class Value:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *fields, **named):
+        slots = self.__slots__
+        values = dict(zip(slots, fields))
+        for key, value in named.items():
+            if key in values or key not in slots:
+                raise TypeError(f"{type(self).__qualname__}() got a repeated or unknown field {key!r}")
+            values[key] = value
+        if len(fields) > len(slots) or len(values) < len(slots):
+            raise TypeError(f"{type(self).__qualname__}() takes exactly the fields {', '.join(slots)}")
+        for key, value in values.items():
+            object.__setattr__(self, key, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -206,14 +230,6 @@ class LieDims(Value):
     d = e + f is the abelianization rank, h = d + n the total rank."""
 
     __slots__ = ("m", "n", "e", "f", "d", "h")
-
-    def __init__(self, m: int, n: int, e: int, f: int, d: int, h: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "h", h)
 
 
 def e_count(m: int, n: int) -> int:

@@ -47,8 +47,7 @@ class IgusaData(Value):
     def __init__(self, y_qexp: int, x: tuple[tuple[int, int], ...]):
         if not x:
             raise ValueError("degree must be positive")
-        object.__setattr__(self, "y_qexp", y_qexp)
-        object.__setattr__(self, "x", x)
+        super().__init__(y_qexp, x)
 
     @property
     def n(self) -> int:

@@ -36,7 +36,7 @@ class LaurentPoly(Value):
         data: dict[tuple[int, int], int] = {}
         for key, c in terms.items() if isinstance(terms, Mapping) else terms:
             data[key] = data.get(key, 0) + c
-        object.__setattr__(self, "_terms", {(int(q), int(t)): c for (q, t), c in data.items() if c})
+        super().__init__({(int(q), int(t)): c for (q, t), c in data.items() if c})
 
     @classmethod
     def zero(cls) -> "LaurentPoly":

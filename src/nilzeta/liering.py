@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .combinat import LieDims, Value, compositions_revlex, e_count, lie_dims, require_prime
+from .combinat import Value, compositions_revlex, e_count, lie_dims, require_prime
 from .zlinalg import _smith
 
 
@@ -29,13 +29,6 @@ class LieStructure(Value):
     """
 
     __slots__ = ("dims", "basis_x", "basis_y", "brackets")
-
-    def __init__(self, dims: LieDims, basis_x: tuple[tuple[int, ...], ...],
-                 basis_y: tuple[tuple[int, ...], ...], brackets: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "basis_x", basis_x)
-        object.__setattr__(self, "basis_y", basis_y)
-        object.__setattr__(self, "brackets", brackets)
 
 
 def build_structure(m: int, n: int) -> LieStructure:
@@ -60,8 +53,9 @@ def abelian_structure(m: int, n: int) -> LieStructure:
 class LinearFormMatrix(Value):
     """Matrix whose entries are integer linear forms in Y_1..Y_nvars.
 
-    Entries are stored sparsely in `forms`, (row, col) -> coefficient tuple;
-    absent entries are zero.  Stored coefficient vectors are never all-zero.
+    Entries are stored sparsely in `forms`, (row, col) -> coefficient tuple,
+    each key inside the shape; absent entries are zero.  Stored coefficient
+    vectors are never all-zero.
     """
 
     __slots__ = ("rows", "cols", "nvars", "forms")
@@ -69,15 +63,14 @@ class LinearFormMatrix(Value):
     def __init__(self, rows: int, cols: int, nvars: int, forms: dict):
         clean = {}
         for key, coeffs in forms.items():
+            if not (0 <= key[0] < rows and 0 <= key[1] < cols):
+                raise ValueError(f"entry {key} lies outside a {rows} x {cols} matrix")
             coeffs = tuple(coeffs)
             if len(coeffs) != nvars:
                 raise ValueError("coefficient vector has wrong length")
             if any(coeffs):
                 clean[key] = coeffs
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "forms", clean)
+        super().__init__(rows, cols, nvars, clean)
 
     def entry(self, i: int, j: int) -> tuple[int, ...]:
         return self.forms.get((i, j), (0,) * self.nvars)

@@ -351,8 +351,7 @@ class LatticeType(Value):
             raise ValueError("jumps must be positive")
         if list(positions) != sorted(set(positions)):
             raise ValueError("positions must be strictly increasing")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "jumps", jumps)
+        super().__init__(positions, jumps)
 
     def r_total(self) -> int:
         return sum(self.jumps)
@@ -491,11 +490,6 @@ def rep_matrix_check(m: int, n: int, p: int, precision: int, seed: int) -> bool:
 
 class VerifyRecord(Value):
     __slots__ = ("k", "formula", "oracle")
-
-    def __init__(self, k: int, formula: int, oracle: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "oracle", oracle)
 
     @property
     def match(self) -> bool:

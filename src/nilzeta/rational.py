@@ -45,9 +45,7 @@ class DenomFactor(Value):
             raise ValueError("denominator factor (1 - 1) is zero")
         if mult < 1:
             raise ValueError("denominator factor multiplicity must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "mult", mult)
+        super().__init__(a, b, mult)
 
     def base_poly(self) -> LaurentPoly:
         return LaurentPoly({(0, 0): 1, (self.a, self.b): -1})
@@ -74,8 +72,7 @@ class RationalFunction(Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: Iterable = ()):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", _canonical_factors(den))
+        super().__init__(num, _canonical_factors(den))
 
     def den_counter(self) -> Counter:
         return Counter({(f.a, f.b): f.mult for f in self.den})
@@ -218,10 +215,6 @@ class LaurentQuotient(Value):
     """A quotient of Laurent polynomials in q alone (result of t -> 1 limits)."""
 
     __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
     def equal(self, other) -> bool:
         if isinstance(other, LaurentQuotient):

@@ -47,9 +47,7 @@ class LinearFactorRational(Value):
         # constant in one division, which reduces it once, not once per factor
         up, num_factors = _primitive(num_factors)
         down, den_factors = _primitive(den_factors)
-        object.__setattr__(self, "const", Fraction(const) * up / down)
-        object.__setattr__(self, "num_factors", num_factors)
-        object.__setattr__(self, "den_factors", den_factors)
+        super().__init__(Fraction(const) * up / down, num_factors, den_factors)
 
     def degree(self) -> int:
         if self.const == 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .combinat import LieDims, Value, lie_dims, e_count
+from .combinat import Value, lie_dims, e_count
 from .igusa import IgusaData, igusa_permutation, igusa_reduced, igusa_topological
 from .laurent import LaurentPoly
 from .rational import (
@@ -35,10 +35,6 @@ class NumericalData(Value):
     """Exponent pairs (a_i, b_i), i = 0..n-1, feeding the Igusa function."""
 
     __slots__ = ("a", "b")
-
-    def __init__(self, a: tuple[int, ...], b: tuple[int, ...]):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 def numerical_data(m: int, n: int) -> NumericalData:
@@ -180,22 +176,6 @@ class ZetaReport(Value):
 
     __slots__ = ("dims", "data", "ideal", "graded", "rep_local", "rep_topological", "topological",
                  "reduced", "mu", "alpha", "beta")
-
-    def __init__(self, dims: LieDims, data: NumericalData, ideal: RationalFunction,
-                 graded: RationalFunction, rep_local: RationalFunction,
-                 rep_topological: LinearFactorRational, topological: LinearFactorRational,
-                 reduced: RationalFunction, mu: Fraction, alpha: int, beta: Fraction):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "graded", graded)
-        object.__setattr__(self, "rep_local", rep_local)
-        object.__setattr__(self, "rep_topological", rep_topological)
-        object.__setattr__(self, "topological", topological)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
 
 
 def zeta_report(m: int, n: int) -> ZetaReport:

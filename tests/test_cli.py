@@ -225,6 +225,21 @@ def test_igusa_charge_refuses_before_any_suite(capsys, monkeypatch):
         2, "", "refused: enumeration size 145883136 exceeds the ceiling 100000000\n")
 
 
+def test_census_rule_stops_long_congruence_runs(capsys, monkeypatch):
+    # the congruence charge 10·d²·n is 80,802,000 at (1, 200), under the
+    # ceiling, yet the run would take minutes: its entries carry precision
+    # up to p^(2n), which the charge does not weigh; only the census rule
+    # (2^198 subtractions) refuses it
+    import nilzeta.cli as cli_mod
+
+    def congruence(m, n, seed):
+        raise AssertionError("the congruence suite ran")
+
+    monkeypatch.setattr(cli_mod, "_check_congruence", congruence)
+    assert run_cli(capsys, "check", "1", "200", "--suite", "congruence") == (
+        2, "", "refused: enumeration size at least 2^198 exceeds the ceiling 100000000\n")
+
+
 def test_igusa_charge_admits_degree_14(capsys, monkeypatch):
     # 12 census_subtractions(14) = 58,785,792, under the ceiling
     import nilzeta.cli as cli_mod

@@ -1,5 +1,6 @@
 """Permutation statistics, Gaussian binomials, compositions, dimension data."""
 
+import itertools
 from math import comb
 
 import pytest
@@ -99,6 +100,22 @@ def test_compositions_revlex_order():
     ]
     assert compositions_revlex(0, 4) == [(0, 0, 0, 0)]
     assert all(compositions_revlex(-1, n) == [] for n in range(1, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_compositions_revlex_lists_every_composition_in_decreasing_order(n):
+    for total in range(7):
+        expected = sorted((c for c in itertools.product(range(total + 1), repeat=n) if sum(c) == total),
+                          reverse=True)
+        assert compositions_revlex(total, n) == expected
+
+
+def test_compositions_revlex_runs_past_the_recursion_limit():
+    comps = compositions_revlex(1, 1200)
+    assert len(comps) == 1200
+    assert comps == sorted(comps, reverse=True)
+    assert comps[0] == (1,) + (0,) * 1199 and comps[-1] == (0,) * 1199 + (1,)
+    assert compositions_revlex(0, 5000) == [(0,) * 5000]
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -61,6 +61,12 @@ def test_linear_form_matrix_rejects_a_vector_of_the_wrong_length():
         LinearFormMatrix(1, 1, 2, {(0, 0): (1,)})
 
 
+@pytest.mark.parametrize("key", [(0, 7), (5, 0), (-1, 0), (0, -1), (1, 1)])
+def test_linear_form_matrix_rejects_an_entry_outside_its_shape(key):
+    with pytest.raises(ValueError):
+        LinearFormMatrix(1, 1, 1, {key: (1,)})
+
+
 def test_igusa_data_degree_is_the_number_of_monomials():
     assert IgusaData(-1, ((1, 1), (2, 3))).n == 2
     with pytest.raises(ValueError):
@@ -168,3 +174,38 @@ def test_hash_is_the_hash_of_the_field_tuple(value, fields, text):
             hash(value)
     else:
         assert hash(value) == expected
+
+
+class _Pair(Value):
+    __slots__ = ("left", "right")
+
+
+def test_the_base_constructor_binds_positional_and_keyword_fields_in_order():
+    value = _Pair(1, [2])
+    assert (value.left, value.right) == (1, [2])
+    assert value == _Pair(left=1, right=[2]) == _Pair(1, right=[2]) == _Pair(right=[2], left=1)
+    assert repr(value) == "_Pair(left=1, right=[2])"
+
+
+@pytest.mark.parametrize("args,named", [
+    ((1,), {}),  # missing
+    ((), {"right": 2}),  # missing
+    ((1, 2, 3), {}),  # extra
+    ((1, 2), {"left": 1}),  # repeated
+    ((1,), {"left": 1, "right": 2}),  # repeated
+    ((1, 2), {"middle": 3}),  # unknown
+    ((1,), {"middle": 3}),  # unknown
+])
+def test_the_base_constructor_rejects_a_missing_extra_repeated_or_unknown_field(args, named):
+    # the message is the base constructor's, which names fields
+    with pytest.raises(TypeError, match="field"):
+        _Pair(*args, **named)
+
+
+KEYWORD_BUILT = [case for case in VALUES if not isinstance(case[0], LaurentPoly)]
+
+
+@pytest.mark.parametrize("value,fields,text", KEYWORD_BUILT, ids=_ids(KEYWORD_BUILT))
+def test_every_value_rebuilds_from_its_fields_by_name(value, fields, text):
+    twin = type(value)(**{name: getattr(value, name) for name in fields})
+    assert type(twin) is type(value) and twin == value and repr(twin) == text
