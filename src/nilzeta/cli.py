@@ -325,6 +325,8 @@ def _suite_list(text: str) -> list[str]:
 def _run_check(args) -> int:
     n, e, f = args.n, e_count(args.m, args.n), f_count(args.m, args.n)
     work = sum(_SUITES[suite][0](n, e, f) for suite in args.suite)
+    if args.print and "commat" in args.suite:
+        work += e * f + (e + f) ** 2  # the cells of B and of M that --print renders
     if work > DEFAULT_CEILING:
         raise CeilingExceededError(work, DEFAULT_CEILING)
     all_ok = True

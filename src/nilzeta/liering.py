@@ -9,12 +9,14 @@ matrix index in this package.
 
 The rectangular bracket matrix B (rows indexed by the y layer, columns by
 the x layer) is built twice: directly from the structure constants and by
-a block-bidiagonal recursion in n.  The two must agree entrywise.
+a block-bidiagonal recursion in n.  The two must agree entrywise.  Each of
+B's entries is a single variable Y_i, and each entry of the commutator
+[[0, -B^T], [B, 0]] is +-Y_i, so a linear form is stored as its nonzero
+(variable, coefficient) pairs and evaluating it is a gather.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 from .combinat import Value, compositions_revlex, e_count, lie_dims, require_prime
@@ -53,30 +55,32 @@ def abelian_structure(m: int, n: int) -> LieStructure:
 class LinearFormMatrix(Value):
     """Matrix whose entries are integer linear forms in Y_1..Y_nvars.
 
-    Entries are stored sparsely in `forms`, (row, col) -> coefficient tuple,
-    each key inside the shape; absent entries are zero.  Stored coefficient
-    vectors are never all-zero.
+    Entries are stored sparsely in `forms`, (row, col) -> form, each key
+    inside the shape; absent entries are zero.  A form is the tuple of its
+    nonzero (k, c) pairs, meaning c * Y_(k+1), in increasing k with each k
+    in range(nvars) at most once; stored forms are never empty.
     """
 
     __slots__ = ("rows", "cols", "nvars", "forms")
 
     def __init__(self, rows: int, cols: int, nvars: int, forms: dict):
         clean = {}
-        for key, coeffs in forms.items():
+        for key, form in forms.items():
             if not (0 <= key[0] < rows and 0 <= key[1] < cols):
                 raise ValueError(f"entry {key} lies outside a {rows} x {cols} matrix")
-            coeffs = tuple(coeffs)
-            if len(coeffs) != nvars:
-                raise ValueError("coefficient vector has wrong length")
-            if any(coeffs):
-                clean[key] = coeffs
+            pairs = sorted(form)
+            variables = [k for k, _ in pairs]
+            if not all(0 <= k < nvars for k in variables):
+                raise ValueError(f"entry {key} names a variable outside Y_1..Y_{nvars}")
+            if len(set(variables)) != len(variables):
+                raise ValueError(f"entry {key} names a variable twice")
+            pairs = tuple((k, c) for k, c in pairs if c)
+            if pairs:
+                clean[key] = pairs
         super().__init__(rows, cols, nvars, clean)
 
-    def entry(self, i: int, j: int) -> tuple[int, ...]:
-        return self.forms.get((i, j), (0,) * self.nvars)
-
-    def entries(self) -> dict:
-        return dict(self.forms)
+    def entry(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        return self.forms.get((i, j), ())
 
     def __repr__(self) -> str:
         return f"LinearFormMatrix({self.rows}x{self.cols} in Y_1..Y_{self.nvars})"
@@ -85,13 +89,8 @@ class LinearFormMatrix(Value):
 def b_matrix_direct(struct: LieStructure) -> LinearFormMatrix:
     """The f x e bracket matrix read off the structure constants: entry
     (row y_f, col x_e) is Y_i when [x_e, y_f] = z_i."""
-    n = struct.dims.n
-    entries = {}
-    for ix, iy, k in struct.brackets:
-        coeffs = [0] * n
-        coeffs[k - 1] = 1
-        entries[(iy, ix)] = tuple(coeffs)
-    return LinearFormMatrix(struct.dims.f, struct.dims.e, n, entries)
+    entries = {(iy, ix): ((k - 1, 1),) for ix, iy, k in struct.brackets}
+    return LinearFormMatrix(struct.dims.f, struct.dims.e, struct.dims.n, entries)
 
 
 @lru_cache(maxsize=1)
@@ -101,25 +100,20 @@ def bracket_matrix(m: int, n: int) -> LinearFormMatrix:
     return b_matrix_direct(build_structure(m, n))
 
 
-def _b_recursive_entries(m: int, n: int, var_offset: int, nvars: int, entries: dict,
-                         row0: int, col0: int):
+def _b_recursive_entries(m: int, n: int, var_offset: int, entries: dict, row0: int, col0: int):
     """Fill entries of the (m, n) block at the given offset; variables used
-    are Y_{var_offset+1}..Y_{var_offset+n} inside a width-nvars vector."""
+    are Y_{var_offset+1}..Y_{var_offset+n}."""
+    scalar = ((var_offset, 1),)
     if n == 1:
-        coeffs = [0] * nvars
-        coeffs[var_offset] = 1
-        entries[(row0, col0)] = tuple(coeffs)
+        entries[(row0, col0)] = scalar
         return
-    scalar = [0] * nvars
-    scalar[var_offset] = 1
-    scalar = tuple(scalar)
     row = row0
     col = col0
     for j in range(1, m + 1):
         width = e_count(j, n - 1)
         for i in range(width):
             entries[(row + i, col + i)] = scalar
-        _b_recursive_entries(j, n - 1, var_offset + 1, nvars, entries, row + width, col)
+        _b_recursive_entries(j, n - 1, var_offset + 1, entries, row + width, col)
         row += width
         col += width
 
@@ -129,35 +123,32 @@ def b_matrix_recursive(m: int, n: int) -> LinearFormMatrix:
     Y_1 * Id of size e(j, n-1) on top of the (j, n-1) matrix in Y_2..Y_n."""
     dims = lie_dims(m, n)
     entries: dict = {}
-    _b_recursive_entries(m, n, 0, n, entries, 0, 0)
+    _b_recursive_entries(m, n, 0, entries, 0, 0)
     return LinearFormMatrix(dims.f, dims.e, n, entries)
 
 
 def full_commutator_matrix(m: int, n: int) -> LinearFormMatrix:
     """The d x d antisymmetric matrix [[0, -B^T], [B, 0]] over the ordered
     non-central basis (x layer first, then y layer)."""
-    struct = build_structure(m, n)
-    b = b_matrix_direct(struct)
-    e, f, nv = struct.dims.e, struct.dims.f, n
+    b = bracket_matrix(m, n)
+    e, d = b.cols, b.cols + b.rows
     entries = {}
-    for (i, j), coeffs in b.entries().items():
-        entries[(e + i, j)] = coeffs
-        entries[(j, e + i)] = tuple(-c for c in coeffs)
-    return LinearFormMatrix(e + f, e + f, nv, entries)
+    for (i, j), form in b.forms.items():
+        entries[(e + i, j)] = form
+        entries[(j, e + i)] = tuple((k, -c) for k, c in form)
+    return LinearFormMatrix(d, d, n, entries)
 
 
 def specialize(mat: LinearFormMatrix, y) -> list[dict[int, int]]:
     """Evaluate every linear form at the integer vector y, into the rows that
-    zlinalg eliminates: one dict per row, from column to nonzero value.
-    Each distinct form is evaluated once (B's forms are the n variables)."""
+    zlinalg eliminates: one dict per row, from column to nonzero value."""
     if len(y) != mat.nvars:
         raise ValueError(f"expected {mat.nvars} values, got {len(y)}")
     out = [{} for _ in range(mat.rows)]
-    values: dict = {}
-    for (i, j), coeffs in mat.forms.items():
-        x = values.get(coeffs)
-        if x is None:
-            x = values[coeffs] = sum(map(operator.mul, coeffs, y))
+    for (i, j), form in mat.forms.items():
+        x = 0
+        for k, c in form:
+            x += c * y[k]
         if x:
             out[i][j] = x
     return out
@@ -173,18 +164,16 @@ def rank_mod(matrix, p: int) -> int:
 def render_linear_matrix(mat: LinearFormMatrix) -> str:
     """Aligned text grid of the linear forms (used by the check --print output)."""
 
-    def form(coeffs: tuple[int, ...]) -> str:
+    def form(pairs: tuple[tuple[int, int], ...]) -> str:
         pieces = []
-        for k, c in enumerate(coeffs, start=1):
-            if not c:
-                continue
+        for k, c in pairs:
             if c == 1:
                 lead = ""
             elif c == -1:
                 lead = "-"
             else:
                 lead = str(c)
-            piece = f"{lead}Y{k}"
+            piece = f"{lead}Y{k + 1}"
             if pieces and not piece.startswith("-"):
                 piece = "+" + piece
             pieces.append(piece)

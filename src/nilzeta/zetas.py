@@ -181,17 +181,23 @@ class ZetaReport(Value):
 def zeta_report(m: int, n: int) -> ZetaReport:
     dims = lie_dims(m, n)
     nd = numerical_data(m, n)
+    ideal = ideal_zeta(m, n)
     local, top_rep = rep_zeta(m, n)
     reduced, mu = reduced_ideal_zeta(m, n)
     alpha, beta = analytic_invariants(m, n)
-    if mu <= 0:
-        raise AssertionError("mu must be positive")
-    if alpha != dims.d:
-        raise AssertionError("alpha must equal d")
+    # Read off the ideal zeta function: a factor 1/(1 - q^a t^b) has its pole
+    # at s = (a + 1)/b, and the numerator continues to its largest q/t ratio
+    if alpha != max(Fraction(f.a + 1, f.b) for f in ideal.den):
+        raise AssertionError("alpha is not the rightmost pole of the ideal zeta function")
+    # sorted by (t, q) exponents, so each t-exponent keeps its largest q-exponent
+    top = {te: qe for (qe, te), _ in ideal.num.sorted_terms() if te > 0}
+    ratios = (Fraction(qe, te) for te, qe in top.items())
+    if beta != max(ratios, default=Fraction(nd.a[0] - 1, nd.b[0])):
+        raise AssertionError("beta is not the largest q/t ratio of the ideal zeta numerator")
     return ZetaReport(
         dims=dims,
         data=nd,
-        ideal=ideal_zeta(m, n),
+        ideal=ideal,
         graded=graded_ideal_zeta(m, n),
         rep_local=local,
         rep_topological=top_rep,

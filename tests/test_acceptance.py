@@ -48,6 +48,14 @@ def _report(number: int, name: str, ok: bool, elapsed: float) -> None:
     assert ok, f"criterion {number} ({name}) failed"
 
 
+def dense(form, n):
+    """The coefficient vector of a form given as (variable, coefficient) pairs."""
+    coeffs = [0] * n
+    for k, c in form:
+        coeffs[k] += c
+    return tuple(coeffs)
+
+
 def test_criterion_01_example_exactness():
     start = time.monotonic()
     fixture = RationalFunction(
@@ -180,16 +188,16 @@ def test_criterion_09_commutator_matrices():
         (4, 2): (0, 1, 0),
         (5, 2): (0, 0, 1),
     }
-    ok = ok and b23.entries() == expected_23
+    ok = ok and {key: dense(form, 3) for key, form in b23.forms.items()} == expected_23
     b32 = b_matrix_direct(build_structure(3, 2))
     for i in range(4):
         for j in range(3):
-            entry = b32.entry(i, j)
+            entry = dense(b32.entry(i, j), 2)
             expected = (1, 0) if i == j else (0, 1) if i == j + 1 else (0, 0)
             ok = ok and entry == expected
     b14 = b_matrix_direct(build_structure(1, 4))
     ok = ok and all(
-        b14.entry(i, 0) == tuple(1 if k == i else 0 for k in range(4)) for i in range(4)
+        dense(b14.entry(i, 0), 4) == tuple(1 if k == i else 0 for k in range(4)) for i in range(4)
     )
     # full-rank behaviour, exhaustive over nonzero vectors
     for m in range(1, 7):

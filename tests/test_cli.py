@@ -212,6 +212,21 @@ def test_commat_charge_refuses_before_any_suite(capsys):
     assert err == "refused: enumeration size 149933025 exceeds the ceiling 100000000\n"
 
 
+def test_commat_print_is_charged_for_the_cells_it_renders(capsys, monkeypatch):
+    # (2^2 + 3^2 - 2) * e * f = 99,033,000 is admitted; --print adds the
+    # e * f cells of B and the d^2 cells of M, 45,015,001 more
+    import nilzeta.cli as cli_mod
+
+    def commat(m, n, do_print):
+        raise AssertionError("the commat suite ran")
+
+    monkeypatch.setattr(cli_mod, "_check_commat", commat)
+    assert run_cli(capsys, "check", "3000", "2", "--suite", "commat", "--print") == (
+        2, "", "refused: enumeration size 144048001 exceeds the ceiling 100000000\n")
+    monkeypatch.setattr(cli_mod, "_check_commat", lambda m, n, do_print: True)
+    assert run_cli(capsys, "check", "3000", "2", "--suite", "commat") == (0, "commat: ok\n", "")
+
+
 def test_igusa_charge_refuses_before_any_suite(capsys, monkeypatch):
     # 12 census_subtractions(15) = 12 * 12,156,928: six data sets, each
     # summed once along the subset chain
@@ -398,7 +413,7 @@ def test_check_commat_sees_every_line(capsys, monkeypatch, q, n):
 
     for line in _lines(q, n):
         mutant = LinearFormMatrix(n, 1, n, {
-            (i, 0): tuple(_crt(c, i == j) if q == 2 else _crt(i == j, c) for j, c in enumerate(row))
+            (i, 0): tuple((j, _crt(c, i == j) if q == 2 else _crt(i == j, c)) for j, c in enumerate(row))
             for i, row in enumerate(_vanishing_on(line, n))})
         monkeypatch.setattr(cli_mod, "bracket_matrix", lambda m, n: mutant)
         monkeypatch.setattr(cli_mod, "b_matrix_recursive", lambda m, n: mutant)
@@ -417,6 +432,12 @@ def test_check_builds_the_bracket_matrix_once(capsys, monkeypatch):
     assert (code, out) == (0, "congruence: ok\nrepmat: ok\ncommat: ok\n")
     assert [(dims.m, dims.n) for dims in built] == [(2, 4)]
     assert liering.bracket_matrix.cache_info().maxsize == 1
+    # --print renders M = [[0, -B^T], [B, 0]] from the same B
+    built.clear()
+    liering.bracket_matrix.cache_clear()
+    code, out, _ = run_cli(capsys, "check", "2", "4", "--suite", "commat", "--print")
+    assert (code, out.endswith("commat: ok\n")) == (0, True)
+    assert [(dims.m, dims.n) for dims in built] == [(2, 4)]
 
 
 def test_check_commat_builds_no_commutator_matrix(capsys, monkeypatch):

@@ -1,9 +1,12 @@
 """Lie structure, commutator matrices, specialization, modular rank."""
 
+import random
+
 import pytest
 
 from nilzeta.combinat import lie_dims
 from nilzeta.liering import (
+    LinearFormMatrix,
     b_matrix_direct,
     b_matrix_recursive,
     build_structure,
@@ -16,6 +19,14 @@ from nilzeta.liering import (
 
 def unit(n, k):
     return tuple(1 if i == k else 0 for i in range(n))
+
+
+def dense(form, n):
+    """The coefficient vector of a form given as (variable, coefficient) pairs."""
+    coeffs = [0] * n
+    for k, c in form:
+        coeffs[k] += c
+    return tuple(coeffs)
 
 
 def test_heisenberg_structure():
@@ -54,7 +65,7 @@ def test_b_matrix_23_published():
         (4, 2): (0, 1, 0),
         (5, 2): (0, 0, 1),
     }
-    assert b.entries() == expected
+    assert {key: dense(form, 3) for key, form in b.forms.items()} == expected
 
 
 def test_b_matrix_m2_bidiagonal():
@@ -63,7 +74,7 @@ def test_b_matrix_m2_bidiagonal():
         assert (b.rows, b.cols) == (m + 1, m)
         for i in range(b.rows):
             for j in range(b.cols):
-                entry = b.entry(i, j)
+                entry = dense(b.entry(i, j), 2)
                 if i == j:
                     assert entry == (1, 0)
                 elif i == j + 1:
@@ -77,7 +88,7 @@ def test_b_matrix_grenham_column():
     b = b_matrix_direct(build_structure(1, n))
     assert (b.rows, b.cols) == (n, 1)
     for i in range(n):
-        assert b.entry(i, 0) == unit(n, i)
+        assert dense(b.entry(i, 0), n) == unit(n, i)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -109,12 +120,12 @@ def test_recursive_column_block_pattern():
                 sub = b_matrix_recursive(j, n - 1)
                 for jj in range(col, col + width):
                     for i in range(b.rows):
-                        entry = b.entry(i, jj)
+                        entry = dense(b.entry(i, jj), n)
                         local = jj - col
                         if head <= i < head + width:
                             expected = (1,) + (0,) * (n - 1) if i - head == local else (0,) * n
                         elif head + width <= i < head + width + f_count(j, n - 1):
-                            expected = (0,) + sub.entry(i - head - width, local)
+                            expected = (0,) + dense(sub.entry(i - head - width, local), n - 1)
                         else:
                             expected = (0,) * n
                         assert entry == expected, (m, n, i, jj)
@@ -123,9 +134,9 @@ def test_recursive_column_block_pattern():
 
 def test_full_commutator_heisenberg():
     m11 = full_commutator_matrix(1, 1)
-    assert m11.entry(0, 1) == (-1,)
-    assert m11.entry(1, 0) == (1,)
-    assert m11.entry(0, 0) == (0,)
+    assert dense(m11.entry(0, 1), 1) == (-1,)
+    assert dense(m11.entry(1, 0), 1) == (1,)
+    assert dense(m11.entry(0, 0), 1) == (0,)
 
 
 def test_full_commutator_grenham_border():
@@ -133,8 +144,8 @@ def test_full_commutator_grenham_border():
     m1n = full_commutator_matrix(1, n)
     assert (m1n.rows, m1n.cols) == (n + 1, n + 1)
     for i in range(n):
-        assert m1n.entry(0, i + 1) == tuple(-v for v in unit(n, i))
-        assert m1n.entry(i + 1, 0) == unit(n, i)
+        assert dense(m1n.entry(0, i + 1), n) == tuple(-v for v in unit(n, i))
+        assert dense(m1n.entry(i + 1, 0), n) == unit(n, i)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -143,7 +154,7 @@ def test_antisymmetry(m, n):
     mat = full_commutator_matrix(m, n)
     for i in range(mat.rows):
         for j in range(mat.cols):
-            assert mat.entry(i, j) == tuple(-c for c in mat.entry(j, i))
+            assert dense(mat.entry(i, j), n) == tuple(-c for c in dense(mat.entry(j, i), n))
 
 
 def test_specialize_examples():
@@ -156,6 +167,36 @@ def test_specialize_examples():
     assert specialize(m, (0, 0)) == [{}] * m.rows
     with pytest.raises(ValueError):
         specialize(b12, (1, 2, 3))
+
+
+def _random_form(rng, n):
+    """Pairs (k, c) over a random set of variables, in random order, with
+    coefficients that may be zero or negative."""
+    variables = rng.sample(range(n), rng.randrange(n + 1))
+    return [(k, rng.randrange(-5, 6)) for k in variables]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_specialize_equals_a_dense_evaluation(seed):
+    rng = random.Random(seed)
+    n, rows, cols = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+    forms = {(i, j): _random_form(rng, n) for i in range(rows) for j in range(cols) if rng.random() < 0.7}
+    mat = LinearFormMatrix(rows, cols, n, forms)
+    for _ in range(10):
+        y = [rng.randrange(-20, 21) for _ in range(n)]
+        expected = [{} for _ in range(rows)]
+        for (i, j), form in forms.items():
+            if value := sum(c * v for c, v in zip(dense(form, n), y)):
+                expected[i][j] = value
+        assert specialize(mat, y) == expected
+
+
+def test_forms_in_any_order_compare_equal():
+    rng = random.Random(7)
+    for _ in range(20):
+        form = _random_form(rng, 6)
+        shuffled = rng.sample(form, len(form))
+        assert LinearFormMatrix(1, 1, 6, {(0, 0): form}) == LinearFormMatrix(1, 1, 6, {(0, 0): shuffled})
 
 
 def test_full_rank_exhaustive():

@@ -19,8 +19,8 @@ from nilzeta.zetas import igusa_data, numerical_data, zeta_report
 @pytest.mark.parametrize("value,attr", [
     (RationalFunction(LaurentPoly.one(), [(1, 1, 1)]), "num"),
     (RationalFunction(LaurentPoly.one(), [(1, 1, 1)]), "den"),
-    (LinearFormMatrix(1, 1, 1, {(0, 0): (1,)}), "forms"),
-    (LinearFormMatrix(1, 1, 1, {(0, 0): (1,)}), "rows"),
+    (LinearFormMatrix(1, 1, 1, {(0, 0): ((0, 1),)}), "forms"),
+    (LinearFormMatrix(1, 1, 1, {(0, 0): ((0, 1),)}), "rows"),
     (LinearFactorRational(1, (), ((1, 0),)), "const"),
     (IgusaData(-1, ((1, 1),)), "x"),
     (IgusaData(-1, ((1, 1),)), "n"),
@@ -50,21 +50,28 @@ def test_rational_function_merges_equal_factors():
 
 
 def test_linear_form_matrix_drops_zero_vectors():
-    mat = LinearFormMatrix(2, 2, 2, {(0, 0): [1, 0], (0, 1): (0, 0), (1, 1): (0, -1)})
-    assert mat.entries() == {(0, 0): (1, 0), (1, 1): (0, -1)}
-    assert mat.entry(0, 1) == (0, 0)
-    assert mat == LinearFormMatrix(2, 2, 2, {(0, 0): (1, 0), (1, 1): (0, -1)})
+    mat = LinearFormMatrix(2, 2, 2, {(0, 0): [(0, 1), (1, 0)], (0, 1): ((0, 0),), (1, 1): ((1, -1),)})
+    assert mat.forms == {(0, 0): ((0, 1),), (1, 1): ((1, -1),)}
+    assert mat.entry(0, 1) == ()
+    assert mat == LinearFormMatrix(2, 2, 2, {(0, 0): ((0, 1),), (1, 1): ((1, -1),)})
 
 
-def test_linear_form_matrix_rejects_a_vector_of_the_wrong_length():
-    with pytest.raises(ValueError):
-        LinearFormMatrix(1, 1, 2, {(0, 0): (1,)})
+def test_linear_form_matrix_rejects_a_variable_outside_its_range():
+    for variable in (2, 5, -1):
+        with pytest.raises(ValueError, match="outside Y_1..Y_2"):
+            LinearFormMatrix(1, 1, 2, {(0, 0): ((variable, 1),)})
+
+
+@pytest.mark.parametrize("form", [((0, 1), (0, 1)), ((1, 2), (0, 1), (1, -2)), ((0, 0), (0, 3))])
+def test_linear_form_matrix_rejects_a_repeated_variable(form):
+    with pytest.raises(ValueError, match="twice"):
+        LinearFormMatrix(1, 1, 2, {(0, 0): form})
 
 
 @pytest.mark.parametrize("key", [(0, 7), (5, 0), (-1, 0), (0, -1), (1, 1)])
 def test_linear_form_matrix_rejects_an_entry_outside_its_shape(key):
     with pytest.raises(ValueError):
-        LinearFormMatrix(1, 1, 1, {key: (1,)})
+        LinearFormMatrix(1, 1, 1, {key: ((0, 1),)})
 
 
 def test_igusa_data_degree_is_the_number_of_monomials():
@@ -89,7 +96,7 @@ VALUES = [
     (build_structure(1, 2), ("dims", "basis_x", "basis_y", "brackets"),
      "LieStructure(dims=LieDims(m=1, n=2, e=1, f=2, d=3, h=5), basis_x=((0, 0),), "
      "basis_y=((1, 0), (0, 1)), brackets=((0, 0, 1), (0, 1, 2)))"),
-    (LinearFormMatrix(2, 1, 2, {(0, 0): (1, 0), (1, 0): (0, 1)}), ("rows", "cols", "nvars", "forms"),
+    (LinearFormMatrix(2, 1, 2, {(0, 0): ((0, 1),), (1, 0): ((1, 1),)}), ("rows", "cols", "nvars", "forms"),
      "LinearFormMatrix(2x1 in Y_1..Y_2)"),
     (LatticeType((1, 3), (2, 1)), ("positions", "jumps"), "LatticeType(positions=(1, 3), jumps=(2, 1))"),
     (VerifyRecord(k=2, formula=5, oracle=5), ("k", "formula", "oracle"), "VerifyRecord(k=2, formula=5, oracle=5)"),

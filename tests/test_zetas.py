@@ -270,3 +270,21 @@ def test_zeta_report_aggregates():
     assert report.mu == Fraction(1, 140)
     assert report.beta == Fraction(19, 10)
     assert rf_equal(report.ideal, ideal_zeta(2, 3))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 3), (1, 5), (4, 4)])
+@pytest.mark.parametrize("field,shift", [("alpha", 1), ("beta", Fraction(1, 7)), ("beta", Fraction(-1, 7))])
+def test_zeta_report_rejects_invariants_the_ideal_zeta_function_contradicts(monkeypatch, m, n, field, shift):
+    # alpha is the rightmost pole (a + 1)/b of the ideal zeta function and
+    # beta the largest q/t ratio of its numerator; a moved one must raise
+    import nilzeta.zetas as zetas_mod
+
+    real = zetas_mod.analytic_invariants
+
+    def moved(m, n):
+        alpha, beta = real(m, n)
+        return (alpha + shift, beta) if field == "alpha" else (alpha, beta + shift)
+
+    monkeypatch.setattr(zetas_mod, "analytic_invariants", moved)
+    with pytest.raises(AssertionError, match=field):
+        zeta_report(m, n)
