@@ -189,8 +189,10 @@ def zeta_report(m: int, n: int) -> ZetaReport:
     # at s = (a + 1)/b, and the numerator continues to its largest q/t ratio
     if alpha != max(Fraction(f.a + 1, f.b) for f in ideal.den):
         raise AssertionError("alpha is not the rightmost pole of the ideal zeta function")
-    # sorted by (t, q) exponents, so each t-exponent keeps its largest q-exponent
-    top = {te: qe for (qe, te), _ in ideal.num.sorted_terms() if te > 0}
+    top = {}  # each positive t-exponent's largest q-exponent
+    for qe, te in ideal.num.terms():
+        if te > 0 and top.get(te, qe - 1) < qe:
+            top[te] = qe
     ratios = (Fraction(qe, te) for te, qe in top.items())
     if beta != max(ratios, default=Fraction(nd.a[0] - 1, nd.b[0])):
         raise AssertionError("beta is not the largest q/t ratio of the ideal zeta numerator")

@@ -48,14 +48,6 @@ def _report(number: int, name: str, ok: bool, elapsed: float) -> None:
     assert ok, f"criterion {number} ({name}) failed"
 
 
-def dense(form, n):
-    """The coefficient vector of a form given as (variable, coefficient) pairs."""
-    coeffs = [0] * n
-    for k, c in form:
-        coeffs[k] += c
-    return tuple(coeffs)
-
-
 def test_criterion_01_example_exactness():
     start = time.monotonic()
     fixture = RationalFunction(
@@ -169,7 +161,7 @@ def test_criterion_08_igusa_form_equivalence():
     _report(8, "Igusa form equivalence", ok, elapsed)
 
 
-def test_criterion_09_commutator_matrices():
+def test_criterion_09_commutator_matrices(dense):
     start = time.monotonic()
     ok = True
     for m in range(1, 7):

@@ -21,14 +21,6 @@ def unit(n, k):
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def dense(form, n):
-    """The coefficient vector of a form given as (variable, coefficient) pairs."""
-    coeffs = [0] * n
-    for k, c in form:
-        coeffs[k] += c
-    return tuple(coeffs)
-
-
 def test_heisenberg_structure():
     s = build_structure(1, 1)
     assert s.basis_x == ((0,),)
@@ -52,7 +44,7 @@ def test_23_bracket_count():
     assert s.basis_y == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
-def test_b_matrix_23_published():
+def test_b_matrix_23_published(dense):
     b = b_matrix_direct(build_structure(2, 3))
     expected = {
         (0, 0): (1, 0, 0),
@@ -68,7 +60,7 @@ def test_b_matrix_23_published():
     assert {key: dense(form, 3) for key, form in b.forms.items()} == expected
 
 
-def test_b_matrix_m2_bidiagonal():
+def test_b_matrix_m2_bidiagonal(dense):
     for m in range(1, 6):
         b = b_matrix_direct(build_structure(m, 2))
         assert (b.rows, b.cols) == (m + 1, m)
@@ -83,7 +75,7 @@ def test_b_matrix_m2_bidiagonal():
                     assert entry == (0, 0)
 
 
-def test_b_matrix_grenham_column():
+def test_b_matrix_grenham_column(dense):
     n = 5
     b = b_matrix_direct(build_structure(1, n))
     assert (b.rows, b.cols) == (n, 1)
@@ -105,7 +97,7 @@ def test_b_matrix_shape(m, n):
     assert (b.rows, b.cols) == (dims.f, dims.e)
 
 
-def test_recursive_column_block_pattern():
+def test_recursive_column_block_pattern(dense):
     # column block j: zeros of height e(j-1, n), scalar block, recursive
     # block, zeros below
     from nilzeta.combinat import e_count, f_count
@@ -132,14 +124,14 @@ def test_recursive_column_block_pattern():
                 col += width
 
 
-def test_full_commutator_heisenberg():
+def test_full_commutator_heisenberg(dense):
     m11 = full_commutator_matrix(1, 1)
     assert dense(m11.entry(0, 1), 1) == (-1,)
     assert dense(m11.entry(1, 0), 1) == (1,)
     assert dense(m11.entry(0, 0), 1) == (0,)
 
 
-def test_full_commutator_grenham_border():
+def test_full_commutator_grenham_border(dense):
     n = 3
     m1n = full_commutator_matrix(1, n)
     assert (m1n.rows, m1n.cols) == (n + 1, n + 1)
@@ -150,7 +142,7 @@ def test_full_commutator_grenham_border():
 
 @pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("n", range(1, 7))
-def test_antisymmetry(m, n):
+def test_antisymmetry(m, n, dense):
     mat = full_commutator_matrix(m, n)
     for i in range(mat.rows):
         for j in range(mat.cols):
@@ -177,7 +169,7 @@ def _random_form(rng, n):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_specialize_equals_a_dense_evaluation(seed):
+def test_specialize_equals_a_dense_evaluation(seed, dense):
     rng = random.Random(seed)
     n, rows, cols = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
     forms = {(i, j): _random_form(rng, n) for i in range(rows) for j in range(cols) if rng.random() < 0.7}
