@@ -7,7 +7,6 @@ from .combinat import (
     gaussian_binomial,
     gaussian_multinomial,
     lie_dims,
-    permutations_with_stats,
 )
 from .igusa import IgusaData, igusa_permutation, igusa_reduced, igusa_subset, igusa_topological
 from .laurent import LaurentPoly
@@ -34,7 +33,6 @@ from .oracle import (
 )
 from .rational import (
     DenomFactor,
-    LaurentQuotient,
     RationalFunction,
     rf_equal,
     rf_invert_vars,

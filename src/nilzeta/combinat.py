@@ -1,35 +1,17 @@
-"""Permutation statistics, Gaussian q-binomials, ordered composition sets,
-a deterministic primality test, the base class `Value` of the package's
-value types, and the ranks `LieDims` of the pair (m, n) with the bound
-on d that every entry point checks.
+"""Gaussian q-binomials, ordered composition sets, a deterministic
+primality test, the base class `Value` of the package's value types, and
+the ranks `LieDims` of the pair (m, n) with the bound on d that every entry
+point checks.
 
-Permutations of [n] are one-line tuples; the length statistic is the
-inversion count and descents are the positions i in [n-1] with
-w(i+1) < w(i).  Univariate polynomials in the Gaussian parameter Y are
-plain coefficient tuples, low degree first.
+Univariate polynomials in the Gaussian parameter Y are plain coefficient
+tuples, low degree first.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
 from operator import attrgetter
-
-
-def permutations_with_stats(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Yield (w, length, descents) for every w in S_n, in lexicographic order.
-
-    Descents are reported as a sorted tuple of positions, which keeps the
-    iteration order (and every numerator built from it) reproducible.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    for w in itertools.permutations(range(1, n + 1)):
-        length = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-        descents = tuple(i + 1 for i in range(n - 1) if w[i + 1] < w[i])
-        yield w, length, descents
 
 
 def poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -16,11 +16,11 @@ far (n while none is).  Leaving i out multiplies a partial by 1 - X_i;
 taking it multiplies by X_i (upper choose i)_Y and moves it to key i.  That
 is O(n^2) products instead of n 2^n, and reads nothing of the census.
 
-The permutation form never walks S_n (combinat.permutations_with_stats, the
-walk, is the tests' reference).  It reads the census of _descent_census: per
-descent set S of [n-1], the length generating function beta_S of the
-permutations with descent set exactly S, so that the numerator is the sum
-over S of beta_S(Y) prod_{j in S} X_j.
+The permutation form never walks S_n (the walk is the tests' reference,
+the `permutations_with_stats` fixture of tests/conftest.py).  It reads the
+census of _descent_census: per descent set S of [n-1], the length
+generating function beta_S of the permutations with descent set exactly S,
+so that the numerator is the sum over S of beta_S(Y) prod_{j in S} X_j.
 
 igusa_middle is the subset chain without its first step, which multiplies
 by 1; it is kept only while perfbench/spans.py binds it by name.  The
@@ -70,13 +70,12 @@ def _subset_sum(data: IgusaData, top: int) -> RationalFunction:
     partials = {data.n: LaurentPoly.one()}
     for i in range(top, 0, -1):
         x = LaurentPoly({data.x[i - 1]: 1})
-        terms: dict[int, list] = {}
+        step = {i: LaurentPoly.zero()}
         for upper, partial in partials.items():
-            terms.setdefault(upper, []).extend((partial * (1 - x)).terms().items())
-            taken = partial * (x * _y_power(data, gaussian_binomial(upper, i)))
-            terms.setdefault(i, []).extend(taken.terms().items())
-        partials = {key: LaurentPoly(merged) for key, merged in terms.items()}
-    num = LaurentPoly(term for partial in partials.values() for term in partial.terms().items())
+            step[upper] = partial * (1 - x)
+            step[i] += partial * (x * _y_power(data, gaussian_binomial(upper, i)))
+        partials = step
+    num = sum(partials.values(), LaurentPoly.zero())
     return RationalFunction(num, _denominator(data))
 
 

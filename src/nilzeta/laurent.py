@@ -125,10 +125,6 @@ class LaurentPoly(Value):
         """Substitute q -> 1/q and t -> 1/t simultaneously."""
         return LaurentPoly(((-eq, -et), c) for (eq, et), c in self._terms.items())
 
-    def subs_t_one(self) -> "LaurentPoly":
-        """Evaluate at t = 1, leaving a Laurent polynomial in q alone."""
-        return LaurentPoly(((eq, 0), c) for (eq, _), c in self._terms.items())
-
     def value_at_q(self, q_value) -> Fraction:
         """Evaluate a polynomial in q alone at a concrete value a/b, exactly.
 

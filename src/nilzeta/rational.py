@@ -3,8 +3,8 @@
 A RationalFunction is a LaurentPoly numerator over a multiset of factors
 (1 - q^a t^b)^mult.  Denominators are never expanded for storage; equality
 is mathematical (cross-multiplication after cancelling common factors).
-There is no polynomial division anywhere: t-series and t -> 1 limits are
-read off the factors, and dividing by a factor cancels it from the multiset.
+There is no polynomial division anywhere: t-series and the leading term at
+t = 1 are read off the factors, and nothing on the t -> 1 path is expanded.
 
 All values are immutable after construction and safe to share.
 """
@@ -23,14 +23,6 @@ from .laurent import LaurentPoly
 
 class NonExpandableFactorError(ValueError):
     """A denominator factor with t-exponent 0 cannot be expanded as a t-series."""
-
-
-class PoleAtT1Error(ArithmeticError):
-    """The t -> 1 limit does not exist; carries the residual pole order."""
-
-    def __init__(self, order: int):
-        super().__init__(f"pole of order {order} survives at t = 1")
-        self.order = order
 
 
 class DenomFactor(Value):
@@ -88,28 +80,6 @@ class RationalFunction(Value):
         )
 
     __rmul__ = __mul__
-
-    def divided_by(self, other: "RationalFunction") -> "RationalFunction":
-        """Division restricted to divisors with numerator 1.
-
-        Cancels against the denominator multiset first; divisor factors with
-        no counterpart are multiplied into the numerator.
-        """
-        if other.num != LaurentPoly.one():
-            raise ValueError("divided_by requires a divisor with numerator 1")
-        remaining = self.den_counter()
-        num = self.num
-        for f in other.den:
-            key = (f.a, f.b)
-            cancel = min(remaining.get(key, 0), f.mult)
-            if cancel:
-                remaining[key] -= cancel
-                if not remaining[key]:
-                    del remaining[key]
-            left = f.mult - cancel
-            if left:
-                num = num * (f.base_poly() ** left)
-        return RationalFunction(num, [(a, b, m) for (a, b), m in remaining.items()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
@@ -211,38 +181,27 @@ def rf_series_work(x: RationalFunction, upto: int) -> tuple[int, int]:
     return ceil(sum(f.mult * held(upto - f.b + 1) for f in x.den)), ceil(held(upto + 1))
 
 
-class LaurentQuotient(Value):
-    """A quotient of Laurent polynomials in q alone (result of t -> 1 limits)."""
+def rf_limit_t1(x: RationalFunction) -> tuple[int, RationalFunction, int]:
+    """The leading term of x at t = 1: x ~ lead / (prod_b * (1 - t)^order).
 
-    __slots__ = ("num", "den")
-
-    def equal(self, other) -> bool:
-        if isinstance(other, LaurentQuotient):
-            return self.num * other.den == other.num * self.den
-        value = Fraction(other)
-        return self.num * value.denominator == self.den * value.numerator
-
-
-def rf_limit_t1(x: RationalFunction) -> LaurentQuotient:
-    """Exact limit of x as t -> 1, as a quotient of polynomials in q.
-
-    Read off the factors: the P factors (1 - t^b) with a = 0 are (1 - t)
-    times a cofactor worth b at t = 1, every other factor is worth
+    Read off the factors, expanding nothing: each factor (1 - t^b) with a = 0
+    is (1 - t) times a cofactor worth b at t = 1, every other factor is worth
     (1 - q^a).  The numerator is sum_k (-1)^k T_k (1 - t)^k with
-    T_k = sum c C(et, k) q^eq (C generalised to negative et).  If some
-    T_k with k < P is nonzero, a PoleAtT1Error reports the order P - k.
+    T_k = sum c C(et, k) q^eq (C generalised to negative et), so the order is
+    the count of a = 0 factors less the first k with T_k nonzero; it is
+    negative where x vanishes at t = 1.  lead is (-1)^k T_k over the factors
+    (1 - q^a), kept factored; prod_b is the product of the b of the a = 0
+    factors.  Raises ValueError for x = 0, which has no leading term.
     """
-    pole = sum(f.mult for f in x.den if f.a == 0)
+    if not x.num:
+        raise ValueError("the zero function has no leading term at t = 1")
     terms = x.num.terms().items()
-    for k in range(pole + 1):
-        taylor = LaurentPoly(((eq, 0), c * _binom(et, k)) for (eq, et), c in terms)
-        if k < pole and taylor:
-            raise PoleAtT1Error(pole - k)
-    den = LaurentPoly.term(prod(f.b**f.mult for f in x.den if f.a == 0))
-    for f in x.den:
-        if f.a:
-            den = den * f.expanded().subs_t_one()
-    return LaurentQuotient(taylor * (-1) ** pole, den)
+    k = 0
+    while not (taylor := LaurentPoly(((eq, 0), c * _binom(et, k)) for (eq, et), c in terms)):
+        k += 1
+    poles = [f for f in x.den if f.a == 0]
+    lead = RationalFunction(taylor * (-1) ** k, [(f.a, 0, f.mult) for f in x.den if f.a])
+    return sum(f.mult for f in poles) - k, lead, prod(f.b**f.mult for f in poles)
 
 
 def _binom(n: int, k: int) -> int:

@@ -1,8 +1,10 @@
 """Point subprocesses at the package these tests import, so that the tests
 that start `python -m nilzeta.cli` also pass under a plain `pytest` from a
 checkout, where pyproject.toml puts src on sys.path but not on PYTHONPATH;
-and share the `dense` fixture between the test modules."""
+and share the `dense` and `permutations_with_stats` fixtures between the
+test modules."""
 
+import itertools
 import os
 from pathlib import Path
 
@@ -26,3 +28,19 @@ def dense():
         return tuple(coeffs)
 
     return dense
+
+
+@pytest.fixture
+def permutations_with_stats():
+    """`permutations_with_stats(n)`: (w, length, descents) for every w in S_n,
+    in lexicographic order, by walking S_n.  The reference for the descent
+    census of `nilzeta.igusa`; w is a one-line tuple, its length the
+    inversion count, its descents the positions i in [n-1] with
+    w(i+1) < w(i), as a sorted tuple."""
+
+    def permutations_with_stats(n):
+        for w in itertools.permutations(range(1, n + 1)):
+            length = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+            yield w, length, tuple(i + 1 for i in range(n - 1) if w[i + 1] < w[i])
+
+    return permutations_with_stats

@@ -13,37 +13,36 @@ from nilzeta.combinat import (
     gaussian_multinomial,
     gaussian_multinomials,
     lie_dims,
-    permutations_with_stats,
     poly_mul,
 )
 
 
-def test_stats_n1():
+def test_stats_n1(permutations_with_stats):
     assert list(permutations_with_stats(1)) == [((1,), 0, ())]
 
 
-def test_stats_n2():
+def test_stats_n2(permutations_with_stats):
     assert list(permutations_with_stats(2)) == [
         ((1, 2), 0, ()),
         ((2, 1), 1, (1,)),
     ]
 
 
-def test_stats_longest_element():
+def test_stats_longest_element(permutations_with_stats):
     stats = {w: (length, des) for w, length, des in permutations_with_stats(3)}
     assert stats[(3, 2, 1)] == (3, (1, 2))
     assert stats[(2, 3, 1)] == (2, (2,))
     assert stats[(3, 1, 2)] == (2, (1,))
 
 
-def test_each_permutation_once():
+def test_each_permutation_once(permutations_with_stats):
     seen = [w for w, _, _ in permutations_with_stats(4)]
     assert len(seen) == 24
     assert len(set(seen)) == 24
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_poincare_polynomial(n):
+def test_poincare_polynomial(n, permutations_with_stats):
     counts = {}
     for _, length, _ in permutations_with_stats(n):
         counts[length] = counts.get(length, 0) + 1

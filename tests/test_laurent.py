@@ -88,7 +88,6 @@ def test_power():
 def test_invert_vars_and_subs():
     p = LaurentPoly({(2, 3): 5, (-1, 0): 1})
     assert p.invert_vars() == LaurentPoly({(-2, -3): 5, (1, 0): 1})
-    assert p.subs_t_one() == LaurentPoly({(2, 0): 5, (-1, 0): 1})
 
 
 def test_value_at_q():

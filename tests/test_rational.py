@@ -1,15 +1,14 @@
 """Factored rational functions: equality, inversion, series, limits, JSON."""
 
 import random
+from math import prod
 
 import pytest
 
 from nilzeta.laurent import LaurentPoly
 from nilzeta.rational import (
     DenomFactor,
-    LaurentQuotient,
     NonExpandableFactorError,
-    PoleAtT1Error,
     RationalFunction,
     rational_dumps,
     rational_from_obj,
@@ -185,73 +184,81 @@ def test_series_cauchy_product():
             assert cxy[k] == cauchy
 
 
+def at_t1(poly):
+    """A polynomial evaluated at t = 1, for the expected leading terms."""
+    return LaurentPoly(((eq, 0), c) for (eq, _), c in poly.terms().items())
+
+
 def test_limit_cyclotomic():
+    # order 0: (1 - t^3)/(1 - t) -> 3
     x = rf({(0, 0): 1, (0, 3): -1}, [(0, 1, 1)])
-    assert rf_limit_t1(x).equal(3)
+    order, lead, prod_b = rf_limit_t1(x)
+    assert (order, prod_b) == (0, 1)
+    assert rf_equal(lead, RationalFunction(LaurentPoly.term(3)))
 
 
 def test_limit_zero():
-    x = rf({(0, 0): 1, (0, 1): -1}, [(1, 1, 1)])
-    assert rf_limit_t1(x).equal(0)
+    # negative order: (1 - t)^2/(1 - qt) vanishes to order 2, like (1 - t)^2/(1 - q)
+    x = rf({(0, 0): 1, (0, 1): -2, (0, 2): 1}, [(1, 1, 1)])
+    order, lead, prod_b = rf_limit_t1(x)
+    assert (order, prod_b) == (-2, 1)
+    assert lead.num == ONE
+    assert lead.den == (DenomFactor(1, 0, 1),)
 
 
 def test_limit_cancel_and_evaluate():
-    # (1-t) * 1/((1-t)(1-qt)) -> 1/(1-q)
+    # (1-t) * 1/((1-t)(1-qt)) -> 1/(1-q), the factor (1 - q) kept as a factor
     x = rf({(0, 0): 1, (0, 1): -1}, [(0, 1, 1), (1, 1, 1)])
-    lim = rf_limit_t1(x)
-    assert lim.num == ONE
-    assert lim.den == LaurentPoly({(0, 0): 1, (1, 0): -1})
-    assert lim.equal(lim)
+    order, lead, prod_b = rf_limit_t1(x)
+    assert (order, prod_b) == (0, 1)
+    assert lead.num == ONE
+    assert lead.den == (DenomFactor(1, 0, 1),)
 
 
 def test_limit_reports_residual_pole_order():
-    x = RationalFunction(ONE, [(0, 1, 2)])
-    with pytest.raises(PoleAtT1Error) as err:
-        rf_limit_t1(x)
-    assert err.value.order == 2
+    # order > 0: 1/((1 - t^2)(1 - t^3)(1 - q^2 t)(1 - q^2)) ~ 1/(6 (1 - q^2)^2 (1 - t)^2)
+    x = RationalFunction(ONE, [(0, 2, 1), (0, 3, 1), (2, 1, 1), (2, 0, 1)])
+    order, lead, prod_b = rf_limit_t1(x)
+    assert (order, prod_b) == (2, 6)
+    assert lead.num == ONE
+    assert lead.den == (DenomFactor(2, 0, 2),)
+
+
+def test_limit_reads_negative_t_exponents():
+    # (t^-1 - t)/(1 - t)^2 = t^-1 (1 + t)/(1 - t) ~ 2/(1 - t)
+    x = rf({(0, -1): 1, (0, 1): -1}, [(0, 1, 2)])
+    order, lead, prod_b = rf_limit_t1(x)
+    assert (order, prod_b) == (1, 1)
+    assert lead.num == LaurentPoly.term(2)
+    assert lead.den == ()
+
+
+def test_limit_of_zero_raises():
+    with pytest.raises(ValueError, match="no leading term"):
+        rf_limit_t1(RationalFunction(LaurentPoly.zero(), [(0, 1, 1)]))
 
 
 def test_limit_against_known_answers():
-    # x = g (1 - t)^j / den with g(1) != 0: the limit is
-    # g(1) / (prod_{a=0} b^mult * prod_{a!=0} (1 - q^a)^mult) at j = P,
-    # 0 for j > P, and a pole of order P - j for j < P.
+    # x = g (1 - t)^j / den with g(1) != 0 behaves like
+    # g(1) / (prod_{a=0} b^mult * prod_{a!=0} (1 - q^a)^mult * (1 - t)^(P - j)),
+    # with P the count of the factors with a = 0: a pole for j < P, a zero for j > P.
     rng = random.Random(13)
     one_minus_t = LaurentPoly({(0, 0): 1, (0, 1): -1})
     for _ in range(60):
         g = LaurentPoly(
             {(rng.randrange(-3, 4), rng.randrange(-3, 5)): rng.randrange(-5, 6) for _ in range(4)}
         )
-        if not g.subs_t_one():
+        if not at_t1(g):
             continue
         den = [(rng.randrange(0, 3), rng.randrange(1, 4), rng.randrange(1, 3)) for _ in range(3)]
         den += [(rng.randrange(1, 3), 0, 1)] * rng.randrange(0, 2)
         pole = sum(m for a, _, m in den if a == 0)
-        value = LaurentPoly.one()
-        for a, b, m in den:
-            value = value * (LaurentPoly.term(b**m) if a == 0 else DenomFactor(a, 0, m).expanded())
+        prod_b = prod(b**m for a, b, m in den if a == 0)
+        expected = RationalFunction(at_t1(g), [(a, 0, m) for a, _, m in den if a])
         for j in range(pole + 3):
-            x = RationalFunction(g * one_minus_t**j, den)
-            if j < pole:
-                with pytest.raises(PoleAtT1Error) as err:
-                    rf_limit_t1(x)
-                assert err.value.order == pole - j
-            elif j == pole:
-                assert rf_limit_t1(x).equal(LaurentQuotient(g.subs_t_one(), value))
-            else:
-                assert rf_limit_t1(x).equal(0)
-
-
-def test_divided_by_cancels_multiset():
-    x = RationalFunction(ONE, [(0, 1, 1), (1, 1, 1), (2, 3, 1)])
-    y = RationalFunction(ONE, [(0, 1, 1), (1, 1, 1)])
-    ratio = x.divided_by(y)
-    assert [(f.a, f.b, f.mult) for f in ratio.den] == [(2, 3, 1)]
-    assert ratio.num == ONE
-    z = RationalFunction(ONE, [(5, 2, 1)])
-    lifted = x.divided_by(z)
-    assert lifted.num == DenomFactor(5, 2, 1).expanded()
-    with pytest.raises(ValueError):
-        x.divided_by(RationalFunction(LaurentPoly({(1, 0): 1})))
+            order, lead, got_b = rf_limit_t1(RationalFunction(g * one_minus_t**j, den))
+            assert (order, got_b) == (pole - j, prod_b)
+            assert (lead.num, lead.den) == (expected.num, expected.den)
 
 
 def test_json_round_trip_bit_exact():

@@ -11,7 +11,7 @@ from nilzeta.igusa import IgusaData
 from nilzeta.laurent import LaurentPoly
 from nilzeta.liering import LinearFormMatrix, build_structure
 from nilzeta.oracle import LatticeType, VerifyRecord
-from nilzeta.rational import DenomFactor, LaurentQuotient, RationalFunction
+from nilzeta.rational import DenomFactor, RationalFunction
 from nilzeta.univariate import LinearFactorRational
 from nilzeta.zetas import igusa_data, numerical_data, zeta_report
 
@@ -103,8 +103,6 @@ VALUES = [
     (DenomFactor(1, 2, 3), ("a", "b", "mult"), "DenomFactor(a=1, b=2, mult=3)"),
     (RationalFunction(LaurentPoly.one() - LaurentPoly.term(1, 1, 1), [(1, 1, 1), (0, 2, 2)]), ("num", "den"),
      "RationalFunction(LaurentPoly(1-q t) / (1-q^1 t^1)(1-q^0 t^2)^2)"),
-    (LaurentQuotient(LaurentPoly.term(2, 1), LaurentPoly.one()), ("num", "den"),
-     "LaurentQuotient(num=LaurentPoly(2 q), den=LaurentPoly(1))"),
     (LinearFactorRational(6, (), ((12, 27), (10, 20))), ("const", "num_factors", "den_factors"),
      "LinearFactorRational(const=Fraction(1, 5), num_factors=(), den_factors=((4, 9), (1, 2)))"),
     (numerical_data(1, 2), ("a", "b"), "NumericalData(a=(6, 4), b=(5, 3))"),

@@ -1,20 +1,18 @@
 """Closed-form zeta functions: anchors, symmetries, degenerations."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
+from nilzeta import zetas
 from nilzeta.combinat import lie_dims
+from nilzeta.igusa import igusa_reduced
 from nilzeta.laurent import LaurentPoly
-from nilzeta.rational import (
-    RationalFunction,
-    rf_equal,
-    rf_limit_t1,
-    rf_series_coeffs,
-)
+from nilzeta.rational import RationalFunction, rf_equal, rf_series_coeffs
 from nilzeta.univariate import LinearFactorRational
 from nilzeta.zetas import (
+    _leading_ratio_is,
     abelian_zeta,
     analytic_invariants,
     check_functional_equation,
@@ -193,11 +191,28 @@ def test_reduced_degree(m, n):
 @pytest.mark.parametrize("m", range(1, 5))
 @pytest.mark.parametrize("n", range(1, 5))
 def test_reduced_residue_generic_route(m, n):
-    # cross-validate the built-in residue shortcut against rf_limit_t1
+    # the residue by hand, without rf_limit_t1: every factor of the reduced
+    # function is (1 - t^b), that is (1 - t) times a cofactor worth b at t = 1,
+    # and the numerator is worth n! there
     dims = lie_dims(m, n)
     fn, mu = reduced_ideal_zeta(m, n)
-    cleared = fn * LaurentPoly({(0, 0): 1, (0, 1): -1}) ** dims.h
-    assert rf_limit_t1(cleared).equal(mu)
+    assert all(f.a == 0 for f in fn.den)
+    assert sum(f.mult for f in fn.den) == dims.h
+    at_one = sum(fn.num.terms().values())
+    assert at_one == factorial(n)
+    assert Fraction(at_one, prod(f.b**f.mult for f in fn.den)) == mu
+
+
+def test_reduced_pole_order_is_read_from_the_numerator(monkeypatch):
+    # a numerator vanishing at Y = 1 lowers the pole order below h while the
+    # factor count stays h; the check must see it
+    def vanishing(b):
+        base = igusa_reduced(b)
+        return RationalFunction(base.num * LaurentPoly({(0, 0): 1, (0, 1): -1}), base.den)
+
+    monkeypatch.setattr(zetas, "igusa_reduced", vanishing)
+    with pytest.raises(AssertionError, match="pole order at Y = 1 is not h"):
+        reduced_ideal_zeta(2, 3)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -249,8 +264,9 @@ def test_functional_equation_monomial_shape():
 def test_zero_behaviour_heisenberg():
     assert check_zero_behaviour(3, 1) == (True, True)
     dims = lie_dims(3, 1)
-    ratio = graded_ideal_zeta(3, 1).divided_by(abelian_zeta(dims.d) * abelian_zeta(1))
-    assert rf_limit_t1(ratio).equal(Fraction(1, 3))
+    graded, divisor = graded_ideal_zeta(3, 1), abelian_zeta(dims.d) * abelian_zeta(1)
+    assert _leading_ratio_is(graded, divisor, Fraction(1, 3))
+    assert not _leading_ratio_is(graded, divisor, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("m", range(1, 4))
@@ -260,8 +276,18 @@ def test_zero_behaviour_grid(m, n):
 
 
 def test_zero_behaviour_23_ratio_value():
-    ratio = graded_ideal_zeta(2, 3).divided_by(abelian_zeta(9) * abelian_zeta(3))
-    assert rf_limit_t1(ratio).equal(Fraction(1, 4))
+    graded, divisor = graded_ideal_zeta(2, 3), abelian_zeta(9) * abelian_zeta(3)
+    assert _leading_ratio_is(graded, divisor, Fraction(1, 4))
+    assert not _leading_ratio_is(graded, divisor, Fraction(1, 3))
+
+
+def test_zero_behaviour_reads_false_when_the_orders_differ(monkeypatch):
+    # zeta (1 - t) has no pole at t = 1, the abelian divisor a simple one
+    def vanishing(m, n):
+        return ideal_zeta(m, n) * LaurentPoly({(0, 0): 1, (0, 1): -1})
+
+    monkeypatch.setattr(zetas, "ideal_zeta", vanishing)
+    assert check_zero_behaviour(2, 3) == (False, True)
 
 
 def test_zeta_report_aggregates():
