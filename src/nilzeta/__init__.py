@@ -32,7 +32,6 @@ from .oracle import (
     verify_dirichlet,
 )
 from .rational import (
-    DenomFactor,
     RationalFunction,
     rf_equal,
     rf_invert_vars,

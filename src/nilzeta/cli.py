@@ -38,7 +38,14 @@ from .oracle import (
     rep_matrix_check,
     verify_dirichlet,
 )
-from .rational import RationalFunction, rational_to_obj, rf_equal, rf_series_coeffs, rf_series_work
+from .rational import (
+    RationalFunction,
+    factor_poly,
+    rational_to_obj,
+    rf_equal,
+    rf_series_coeffs,
+    rf_series_work,
+)
 from .univariate import LinearFactorRational
 from .zetas import (
     ZetaReport,
@@ -88,12 +95,11 @@ def rational_text(x: RationalFunction, tname: str = "t") -> str:
         num = f"({num})"
     if not x.den:
         return num
-    pieces = [
-        f"({poly_text(f.base_poly(), tname)})" + (f"^{f.mult}" if f.mult > 1 else "")
-        for f in x.den
-    ]
-    den = "".join(pieces)
-    if len(pieces) == 1 and x.den[0].mult == 1:
+    den = "".join(
+        f"({poly_text(factor_poly(a, b), tname)})" + (f"^{mult}" if mult > 1 else "")
+        for a, b, mult in x.den
+    )
+    if len(x.den) == 1 and x.den[0][2] == 1:
         return f"{num}/{den}"
     return f"{num}/({den})"
 
@@ -126,8 +132,8 @@ def rational_latex(x: RationalFunction, y_variable: bool = False) -> str:
     if not x.den:
         return num
     den = "".join(
-        f"({poly_latex(f.base_poly(), y_variable)})" + (f"^{{{f.mult}}}" if f.mult > 1 else "")
-        for f in x.den
+        f"({poly_latex(factor_poly(a, b), y_variable)})" + (f"^{{{mult}}}" if mult > 1 else "")
+        for a, b, mult in x.den
     )
     return f"\\frac{{{num}}}{{{den}}}"
 
@@ -304,11 +310,16 @@ _SUITES = {
     "commat": (lambda n, e, f: (2**n + 3**n - 2) * e * f,
                lambda args: _check_commat(args.m, args.n, args.print)),
     # per trial and prime (five trials, two primes), upper bounds on the
-    # entries of B's n blocks side by side and stacked, and of one B
-    "congruence": (lambda n, e, f: 10 * (e + f) ** 2 * n,
+    # entries of B's n blocks side by side and stacked, and of one B, each
+    # weighed by its 64-bit words: residues modulo p^r, r <= 2(n - 1) and
+    # p <= 3, and 3^(2n) has about n / 20 words
+    "congruence": (lambda n, e, f: 10 * (e + f) ** 2 * n * ((n + 19) // 20),
                    lambda args: _check_congruence(args.m, args.n, args.seed)),
     "repmat": (lambda n, e, f: 10 * (e + f) ** 2, lambda args: _check_repmat(args.m, args.n, args.seed)),
 }
+# The suites that build the descent census, so that cli.main applies the
+# census rule to check only when one of them runs.
+_CENSUS_SUITES = {"funceq", "zero", "igusa"}
 
 
 def _suite_list(text: str) -> list[str]:
@@ -454,10 +465,12 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(f"--prime: {exc}")
     try:
-        # every verb but rep and topo builds the descent census (verify
-        # counts it in its own estimate, against its own ceiling); refuse
-        # it, and d = e + f above the terms bound, before any work
-        if args.verb not in ("rep", "topo"):
+        # every verb but rep and topo builds the descent census, check only
+        # in its census suites (verify counts it in its own estimate, against
+        # its own ceiling); refuse it, and d = e + f above the terms bound,
+        # before any work
+        if (not _CENSUS_SUITES.isdisjoint(args.suite) if args.verb == "check"
+                else args.verb not in ("rep", "topo")):
             refuse_census(args.n, getattr(args, "ceiling", DEFAULT_CEILING))
             if args.verb != "verify" and (work := census_subtractions(args.n)) > DEFAULT_CEILING:
                 raise CeilingExceededError(work, DEFAULT_CEILING)

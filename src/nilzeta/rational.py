@@ -1,8 +1,9 @@
 """Rational functions in q and t with factored denominators.
 
 A RationalFunction is a LaurentPoly numerator over a multiset of factors
-(1 - q^a t^b)^mult.  Denominators are never expanded for storage; equality
-is mathematical (cross-multiplication after cancelling common factors).
+(1 - q^a t^b)^mult, each stored as the integer triple (a, b, mult).
+Denominators are never expanded for storage; equality is mathematical
+(cross-multiplication after cancelling common factors).
 There is no polynomial division anywhere: t-series and the leading term at
 t = 1 are read off the factors, and nothing on the t -> 1 path is expanded.
 
@@ -25,59 +26,40 @@ class NonExpandableFactorError(ValueError):
     """A denominator factor with t-exponent 0 cannot be expanded as a t-series."""
 
 
-class DenomFactor(Value):
-    """One denominator factor (1 - q^a t^b)^mult."""
-
-    __slots__ = ("a", "b", "mult")
-
-    def __init__(self, a: int, b: int, mult: int = 1):
-        if b < 0:
-            raise ValueError("t-exponent of a denominator factor must be nonnegative")
-        if (a, b) == (0, 0):
-            raise ValueError("denominator factor (1 - 1) is zero")
-        if mult < 1:
-            raise ValueError("denominator factor multiplicity must be positive")
-        super().__init__(a, b, mult)
-
-    def base_poly(self) -> LaurentPoly:
-        return LaurentPoly({(0, 0): 1, (self.a, self.b): -1})
-
-    def expanded(self) -> LaurentPoly:
-        return self.base_poly() ** self.mult
-
-
-def _canonical_factors(factors: Iterable) -> tuple[DenomFactor, ...]:
-    """Factors given as DenomFactor or (a, b, mult) triples, with equal (a, b)
-    merged, in (b, a) order."""
-    merged: Counter = Counter()
-    for f in factors:
-        a, b, mult = (f.a, f.b, f.mult) if isinstance(f, DenomFactor) else f
-        merged[(a, b)] += mult
-    return tuple(
-        DenomFactor(a, b, m) for (a, b), m in sorted(merged.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    )
+def factor_poly(a: int, b: int) -> LaurentPoly:
+    """The polynomial 1 - q^a t^b of the denominator factor (a, b, mult)."""
+    return LaurentPoly({(0, 0): 1, (a, b): -1})
 
 
 class RationalFunction(Value):
-    """num / prod((1 - q^a t^b)^mult), with mathematical equality."""
+    """num / prod((1 - q^a t^b)^mult), with mathematical equality.
+
+    den is the tuple of the integer triples (a, b, mult), equal (a, b)
+    merged, in (b, a) order.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: Iterable = ()):
-        super().__init__(num, _canonical_factors(den))
-
-    def den_counter(self) -> Counter:
-        return Counter({(f.a, f.b): f.mult for f in self.den})
+    def __init__(self, num: LaurentPoly, den: Iterable[tuple[int, int, int]] = ()):
+        merged: dict[tuple[int, int], int] = {}
+        for a, b, mult in den:
+            merged[b, a] = merged.get((b, a), 0) + mult
+        factors = tuple((a, b, mult) for (b, a), mult in sorted(merged.items()))
+        for a, b, mult in factors:
+            if b < 0:
+                raise ValueError("t-exponent of a denominator factor must be nonnegative")
+            if (a, b) == (0, 0):
+                raise ValueError("denominator factor (1 - 1) is zero")
+            if mult < 1:
+                raise ValueError("denominator factor multiplicity must be positive")
+        super().__init__(num, factors)
 
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, LaurentPoly):
             other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        merged = self.den_counter() + other.den_counter()
-        return RationalFunction(
-            self.num * other.num, [(a, b, m) for (a, b), m in merged.items()]
-        )
+        return RationalFunction(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
 
@@ -90,19 +72,20 @@ class RationalFunction(Value):
 
     def __repr__(self) -> str:
         den = "".join(
-            f"(1-q^{f.a} t^{f.b})" + (f"^{f.mult}" if f.mult > 1 else "") for f in self.den
+            f"(1-q^{a} t^{b})" + (f"^{mult}" if mult > 1 else "") for a, b, mult in self.den
         )
         return f"RationalFunction({self.num!r} / {den or '1'})"
 
 
 def rf_equal(x: RationalFunction, y: RationalFunction) -> bool:
     """True iff x and y agree as rational functions (cross-multiplication)."""
-    cx, cy = x.den_counter(), y.den_counter()
+    cx = Counter({(a, b): mult for a, b, mult in x.den})
+    cy = Counter({(a, b): mult for a, b, mult in y.den})
     common = cx & cy
 
     def cleared(num: LaurentPoly, rest: Counter) -> LaurentPoly:
-        for (a, b), m in rest.items():
-            num = num * DenomFactor(a, b, m).expanded()
+        for (a, b), mult in rest.items():
+            num = num * factor_poly(a, b) ** mult
         return num
 
     return cleared(x.num, cy - common) == cleared(y.num, cx - common)
@@ -116,11 +99,11 @@ def rf_invert_vars(x: RationalFunction) -> RationalFunction:
     sign = 1
     qshift = 0
     tshift = 0
-    for f in x.den:
-        if f.mult % 2:
+    for a, b, mult in x.den:
+        if mult % 2:
             sign = -sign
-        qshift += f.a * f.mult
-        tshift += f.b * f.mult
+        qshift += a * mult
+        tshift += b * mult
     num = x.num.invert_vars() * LaurentPoly.term(sign, qshift, tshift)
     return RationalFunction(num, x.den)
 
@@ -135,10 +118,10 @@ def rf_series_coeffs(x: RationalFunction, upto: int) -> list[LaurentPoly]:
     """
     if upto < 0:
         raise ValueError("series order must be nonnegative")
-    for f in x.den:
-        if f.b == 0:
+    for a, b, _ in x.den:
+        if b == 0:
             raise NonExpandableFactorError(
-                f"factor (1 - q^{f.a}) is constant in t and not invertible as a t-series"
+                f"factor (1 - q^{a}) is constant in t and not invertible as a t-series"
             )
     series: list[dict[int, int]] = [{} for _ in range(upto + 1)]
     for (eq, et), c in x.num.terms().items():
@@ -147,12 +130,12 @@ def rf_series_coeffs(x: RationalFunction, upto: int) -> list[LaurentPoly]:
         if et <= upto:
             series[et][eq] = c
     # Dividing by (1 - q^a t^b) is the forward recurrence c_k += q^a c_(k-b).
-    for f in x.den:
-        for _ in range(f.mult):
-            for k in range(f.b, upto + 1):
+    for a, b, mult in x.den:
+        for _ in range(mult):
+            for k in range(b, upto + 1):
                 row = series[k]
-                for eq, c in series[k - f.b].items():
-                    row[eq + f.a] = row.get(eq + f.a, 0) + c
+                for eq, c in series[k - b].items():
+                    row[eq + a] = row.get(eq + a, 0) + c
     return [LaurentPoly(((eq, 0), c) for eq, c in row.items()) for row in series]
 
 
@@ -171,14 +154,14 @@ def rf_series_work(x: RationalFunction, upto: int) -> tuple[int, int]:
     terms = [(eq, et) for eq, et in x.num.terms() if 0 <= et <= upto]
     if not terms:
         return 0, 0
-    lo = min((Fraction(f.a, f.b) for f in x.den if f.b), default=0)
-    hi = max((Fraction(f.a, f.b) for f in x.den if f.b), default=0)
+    lo = min((Fraction(a, b) for a, b, _ in x.den if b), default=0)
+    hi = max((Fraction(a, b) for a, b, _ in x.den if b), default=0)
     spread = max(max(eq - et * hi for eq, et in terms) - min(eq - et * lo for eq, et in terms), 0)
 
     def held(rows: int) -> Fraction:
         return rows * (spread + 1) + (hi - lo) * rows * (rows - 1) / 2 if rows > 0 else Fraction(0)
 
-    return ceil(sum(f.mult * held(upto - f.b + 1) for f in x.den)), ceil(held(upto + 1))
+    return ceil(sum(mult * held(upto - b + 1) for _, b, mult in x.den)), ceil(held(upto + 1))
 
 
 def rf_limit_t1(x: RationalFunction) -> tuple[int, RationalFunction, int]:
@@ -199,9 +182,9 @@ def rf_limit_t1(x: RationalFunction) -> tuple[int, RationalFunction, int]:
     k = 0
     while not (taylor := LaurentPoly(((eq, 0), c * _binom(et, k)) for (eq, et), c in terms)):
         k += 1
-    poles = [f for f in x.den if f.a == 0]
-    lead = RationalFunction(taylor * (-1) ** k, [(f.a, 0, f.mult) for f in x.den if f.a])
-    return sum(f.mult for f in poles) - k, lead, prod(f.b**f.mult for f in poles)
+    poles = [(b, mult) for a, b, mult in x.den if a == 0]
+    lead = RationalFunction(taylor * (-1) ** k, [(a, 0, mult) for a, _, mult in x.den if a])
+    return sum(mult for _, mult in poles) - k, lead, prod(b**mult for b, mult in poles)
 
 
 def _binom(n: int, k: int) -> int:
@@ -213,7 +196,7 @@ def rational_to_obj(x: RationalFunction) -> dict:
     """JSON-ready form: numerator terms and denominator factors, canonical order."""
     return {
         "num": [{"q": eq, "t": et, "c": str(c)} for (eq, et), c in x.num.sorted_terms()],
-        "den": [{"a": f.a, "b": f.b, "mult": f.mult} for f in x.den],
+        "den": [{"a": a, "b": b, "mult": mult} for a, b, mult in x.den],
     }
 
 

@@ -192,7 +192,7 @@ def zeta_report(m: int, n: int) -> ZetaReport:
     alpha, beta = analytic_invariants(m, n)
     # Read off the ideal zeta function: a factor 1/(1 - q^a t^b) has its pole
     # at s = (a + 1)/b, and the numerator continues to its largest q/t ratio
-    if alpha != max(Fraction(f.a + 1, f.b) for f in ideal.den):
+    if alpha != max(Fraction(a + 1, b) for a, b, _ in ideal.den):
         raise AssertionError("alpha is not the rightmost pole of the ideal zeta function")
     top = {}  # each positive t-exponent's largest q-exponent
     for qe, te in ideal.num.terms():

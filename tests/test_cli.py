@@ -241,18 +241,30 @@ def test_igusa_charge_refuses_before_any_suite(capsys, monkeypatch):
 
 
 def test_census_rule_stops_long_congruence_runs(capsys, monkeypatch):
-    # the congruence charge 10·d²·n is 80,802,000 at (1, 200), under the
-    # ceiling, yet the run would take minutes: its entries carry precision
-    # up to p^(2n), which the charge does not weigh; only the census rule
-    # (2^198 subtractions) refuses it
+    # congruence builds no census, so its own charge stops long m = 1 runs:
+    # 10·d²·n weighed by the (n + 19) // 20 words of its entries, which carry
+    # precision up to p^(2n), is 808,020,000 at (1, 200) and 105,415,200 at
+    # (1, 120); at (1, 115) it is 92,846,400, under the ceiling
     import nilzeta.cli as cli_mod
 
     def congruence(m, n, seed):
         raise AssertionError("the congruence suite ran")
 
     monkeypatch.setattr(cli_mod, "_check_congruence", congruence)
-    assert run_cli(capsys, "check", "1", "200", "--suite", "congruence") == (
-        2, "", "refused: enumeration size at least 2^198 exceeds the ceiling 100000000\n")
+    for n, work in (("200", 808020000), ("120", 105415200)):
+        assert run_cli(capsys, "check", "1", n, "--suite", "congruence") == (
+            2, "", f"refused: enumeration size {work} exceeds the ceiling 100000000\n")
+    monkeypatch.setattr(cli_mod, "_check_congruence", lambda m, n, seed: True)
+    assert run_cli(capsys, "check", "1", "115", "--suite", "congruence") == (0, "congruence: ok\n", "")
+
+
+def test_census_rule_spares_suites_without_census(capsys):
+    # congruence and repmat build no census, so n = 18 runs; a census suite
+    # beside them brings the census rule back
+    assert run_cli(capsys, "check", "1", "18", "--suite", "congruence,repmat") == (
+        0, "congruence: ok\nrepmat: ok\n", "")
+    assert run_cli(capsys, "check", "1", "18", "--suite", "congruence,zero") == (
+        2, "", "refused: enumeration size 171573248 exceeds the ceiling 100000000\n")
 
 
 def test_igusa_charge_admits_degree_14(capsys, monkeypatch):

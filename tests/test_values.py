@@ -11,7 +11,7 @@ from nilzeta.igusa import IgusaData
 from nilzeta.laurent import LaurentPoly
 from nilzeta.liering import LinearFormMatrix, build_structure
 from nilzeta.oracle import LatticeType, VerifyRecord
-from nilzeta.rational import DenomFactor, RationalFunction
+from nilzeta.rational import RationalFunction
 from nilzeta.univariate import LinearFactorRational
 from nilzeta.zetas import igusa_data, numerical_data, zeta_report
 
@@ -46,7 +46,7 @@ def test_linear_factor_rational_rejects_a_nonpositive_leading_coefficient():
 
 def test_rational_function_merges_equal_factors():
     value = RationalFunction(LaurentPoly.one(), [(1, 1, 1), (1, 1, 2)])
-    assert value.den == (DenomFactor(1, 1, 3),)
+    assert value.den == ((1, 1, 3),)
 
 
 def test_linear_form_matrix_drops_zero_vectors():
@@ -100,7 +100,6 @@ VALUES = [
      "LinearFormMatrix(2x1 in Y_1..Y_2)"),
     (LatticeType((1, 3), (2, 1)), ("positions", "jumps"), "LatticeType(positions=(1, 3), jumps=(2, 1))"),
     (VerifyRecord(k=2, formula=5, oracle=5), ("k", "formula", "oracle"), "VerifyRecord(k=2, formula=5, oracle=5)"),
-    (DenomFactor(1, 2, 3), ("a", "b", "mult"), "DenomFactor(a=1, b=2, mult=3)"),
     (RationalFunction(LaurentPoly.one() - LaurentPoly.term(1, 1, 1), [(1, 1, 1), (0, 2, 2)]), ("num", "den"),
      "RationalFunction(LaurentPoly(1-q t) / (1-q^1 t^1)(1-q^0 t^2)^2)"),
     (LinearFactorRational(6, (), ((12, 27), (10, 20))), ("const", "num_factors", "den_factors"),
