@@ -16,11 +16,12 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .combinat import DIMS_BOUND, dims_exceed, e_count, f_count, lie_dims, require_prime
 from .igusa import IgusaData, census_subtractions, igusa_permutation, igusa_subset
-from .laurent import LaurentPoly, format_terms, poly_text
+from .laurent import LaurentPoly, format_terms, poly_text, text_monomial
 from .liering import (
     b_matrix_recursive,
     bracket_matrix,
@@ -40,7 +41,6 @@ from .oracle import (
 )
 from .rational import (
     RationalFunction,
-    factor_poly,
     rational_to_obj,
     rf_equal,
     rf_series_coeffs,
@@ -89,52 +89,56 @@ def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def rational_text(x: RationalFunction, tname: str = "t") -> str:
-    num = poly_text(x.num, tname)
+def _den(x: RationalFunction, monomial, power: str) -> str:
+    """The factors (1 - q^a t^b)^mult of x's denominator, each term written by
+    monomial in the polynomial's (et, eq) order and each power mult > 1 by
+    power.format(mult)."""
+    factors = []
+    for a, b, mult in x.den:
+        one, term = ((0, 0), 1), ((a, b), -1)
+        # b >= 0, so only 1 - q^a with a < 0 writes its q^a term first
+        terms = (term, one) if b == 0 and a < 0 else (one, term)
+        factors.append(f"({format_terms(terms, monomial)})" + (power.format(mult) if mult > 1 else ""))
+    return "".join(factors)
+
+
+def rational_text(x: RationalFunction, y_variable: bool = False) -> str:
+    num = poly_text(x.num, y_variable)
     if len(x.num) > 1:
         num = f"({num})"
     if not x.den:
         return num
-    den = "".join(
-        f"({poly_text(factor_poly(a, b), tname)})" + (f"^{mult}" if mult > 1 else "")
-        for a, b, mult in x.den
-    )
+    den = _den(x, partial(text_monomial, y_variable), "^{}")
     if len(x.den) == 1 and x.den[0][2] == 1:
         return f"{num}/{den}"
     return f"{num}/({den})"
 
 
-def _latex_monomial_qs(eq: int, et: int) -> str:
-    """q^{a-bs} for the monomial q^eq t^et."""
-    if et == 0:
-        return f"q^{{{eq}}}"
-    spart = "s" if et == 1 else f"{et}s"
-    if eq == 0:
-        return f"q^{{-{spart}}}"
-    return f"q^{{{eq}-{spart}}}"
+def _latex_monomial(y_variable: bool, key: tuple[int, int], c: int) -> str:
+    """The term c q^eq t^et, key = (eq, et), without its sign: c q^{eq-et s},
+    or c Y^{et} if y_variable; a unit c is left out of a nonconstant term."""
+    eq, et = key
+    if key == (0, 0):
+        return str(c)
+    if y_variable:
+        mono = "Y" if et == 1 else f"Y^{{{et}}}"
+    elif et == 0:
+        mono = f"q^{{{eq}}}"
+    else:
+        spart = "s" if et == 1 else f"{et}s"
+        mono = f"q^{{-{spart}}}" if eq == 0 else f"q^{{{eq}-{spart}}}"
+    return mono if c == 1 else f"{c}{mono}"
 
 
 def poly_latex(poly: LaurentPoly, y_variable: bool = False) -> str:
-    def monomial(eq: int, et: int, c: int) -> str:
-        if (eq, et) == (0, 0):
-            return str(c)
-        if y_variable:
-            mono = "Y" if et == 1 else f"Y^{{{et}}}"
-        else:
-            mono = _latex_monomial_qs(eq, et)
-        return mono if c == 1 else f"{c}{mono}"
-
-    return format_terms(poly, monomial)
+    return format_terms(poly.sorted_terms(), partial(_latex_monomial, y_variable))
 
 
 def rational_latex(x: RationalFunction, y_variable: bool = False) -> str:
     num = poly_latex(x.num, y_variable)
     if not x.den:
         return num
-    den = "".join(
-        f"({poly_latex(factor_poly(a, b), y_variable)})" + (f"^{{{mult}}}" if mult > 1 else "")
-        for a, b, mult in x.den
-    )
+    den = _den(x, partial(_latex_monomial, y_variable), "^{{{}}}")
     return f"\\frac{{{num}}}{{{den}}}"
 
 
@@ -185,7 +189,7 @@ def render_rational(x: RationalFunction, fmt: str, y_variable: bool = False) -> 
     """Text, or LaTeX for fmt "latex"; the JSON form is chosen in _render."""
     if fmt == "latex":
         return rational_latex(x, y_variable)
-    return rational_text(x, "Y" if y_variable else "t")
+    return rational_text(x, y_variable)
 
 
 def render_linear_rational(x: LinearFactorRational, fmt: str) -> str:
@@ -374,8 +378,9 @@ def _run_coeffs(args) -> int:
             out.append(entry)
         print(_dumps({"coeffs": out}))
         return 0
+    write = poly_latex if args.format == "latex" else poly_text
     for k, poly in enumerate(coeffs):
-        line = f"k={k}: {poly_text(poly)}"
+        line = f"k={k}: {write(poly)}"
         if args.prime is not None:
             line += f" = {poly.value_at_q(args.prime).numerator} at q={args.prime}"
         print(line)

@@ -8,14 +8,18 @@ and rendering is lexicographic on (et, eq).
 
 The constructor is the one place that merges repeated exponents and drops
 zero coefficients; arithmetic hands its (exponent, coefficient) pairs
-straight to the constructor.  `format_terms` is the one sign-joining term
-loop behind the text and LaTeX renderings and `repr`.
+straight to the constructor.  `format_terms` is the package's one
+sign-joining writer: every printed sum (a polynomial in text or LaTeX, a
+denominator factor 1 - q^a t^b, a linear form c_1 Y1 + ...) is written
+straight from its (key, coefficient) pairs by one monomial writer, such as
+`text_monomial` here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from .combinat import Value
@@ -36,7 +40,7 @@ class LaurentPoly(Value):
         data: dict[tuple[int, int], int] = {}
         for key, c in terms.items() if isinstance(terms, Mapping) else terms:
             data[key] = data.get(key, 0) + c
-        super().__init__({(int(q), int(t)): c for (q, t), c in data.items() if c})
+        super().__init__({key: c for key, c in data.items() if c})
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -160,29 +164,31 @@ def _as_poly(value) -> LaurentPoly | None:
     return value if isinstance(value, LaurentPoly) else None
 
 
-def format_terms(poly: LaurentPoly, monomial: Callable[[int, int, int], str]) -> str:
-    """Join the terms of poly in canonical order with their signs.
+def format_terms(terms: Iterable, monomial: Callable[[object, int], str]) -> str:
+    """Join the (key, c) pairs of terms, in the order given, with their signs.
 
-    monomial(eq, et, |c|) renders one term without its sign; the zero
-    polynomial renders as "0".
+    monomial(key, |c|) writes one term without its sign; no terms write "0".
     """
-    if not poly:
-        return "0"
     out = ""
-    for (eq, et), c in poly.sorted_terms():
-        out += ("-" if c < 0 else "+" if out else "") + monomial(eq, et, abs(c))
-    return out
+    for key, c in terms:
+        out += ("-" if c < 0 else "+" if out else "") + monomial(key, abs(c))
+    return out or "0"
 
 
-def poly_text(poly: LaurentPoly, tname: str = "t") -> str:
-    """Plain-text form such as 1-q+2 q^2 t^3, with t shown as tname."""
+def text_monomial(y_variable: bool, key: tuple[int, int], c: int) -> str:
+    """The term c q^eq t^et, key = (eq, et), without its sign, such as
+    2 q^2 t^3, with t written Y if y_variable; a unit c is left out of a
+    nonconstant term."""
+    eq, et = key
+    mono = [str(c)] if c != 1 or key == (0, 0) else []
+    if eq:
+        mono.append("q" if eq == 1 else f"q^{eq}")
+    if et:
+        t = "Y" if y_variable else "t"
+        mono.append(t if et == 1 else f"{t}^{et}")
+    return " ".join(mono)
 
-    def monomial(eq: int, et: int, c: int) -> str:
-        mono = [str(c)] if c != 1 or (eq, et) == (0, 0) else []
-        if eq:
-            mono.append("q" if eq == 1 else f"q^{eq}")
-        if et:
-            mono.append(tname if et == 1 else f"{tname}^{et}")
-        return " ".join(mono)
 
-    return format_terms(poly, monomial)
+def poly_text(poly: LaurentPoly, y_variable: bool = False) -> str:
+    """Plain-text form such as 1-q+2 q^2 t^3, with t written Y if y_variable."""
+    return format_terms(poly.sorted_terms(), partial(text_monomial, y_variable))

@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .combinat import Value, compositions_revlex, e_count, lie_dims, require_prime
+from .laurent import format_terms
 from .zlinalg import _smith
 
 
@@ -163,23 +164,8 @@ def rank_mod(matrix, p: int) -> int:
 
 def render_linear_matrix(mat: LinearFormMatrix) -> str:
     """Aligned text grid of the linear forms (used by the check --print output)."""
-
-    def form(pairs: tuple[tuple[int, int], ...]) -> str:
-        pieces = []
-        for k, c in pairs:
-            if c == 1:
-                lead = ""
-            elif c == -1:
-                lead = "-"
-            else:
-                lead = str(c)
-            piece = f"{lead}Y{k + 1}"
-            if pieces and not piece.startswith("-"):
-                piece = "+" + piece
-            pieces.append(piece)
-        return "".join(pieces) if pieces else "0"
-
-    cells = [[form(mat.entry(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
+    cells = [[format_terms(mat.entry(i, j), lambda k, c: f"{'' if c == 1 else c}Y{k + 1}")
+              for j in range(mat.cols)] for i in range(mat.rows)]
     widths = [max(len(cells[i][j]) for i in range(mat.rows)) for j in range(mat.cols)]
     lines = []
     for row in cells:

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from nilzeta import igusa
-from nilzeta.cli import main
+from nilzeta.cli import main, rational_latex, rational_text, render_rational
 from nilzeta.combinat import PRIME_BOUND, is_prime
-from nilzeta.rational import rational_dumps, rational_loads
+from nilzeta.laurent import LaurentPoly
+from nilzeta.rational import RationalFunction, rational_dumps, rational_loads
 from nilzeta.zetas import ideal_zeta
 
 
@@ -635,6 +636,31 @@ def test_coeffs_graded(capsys):
     lines = out.strip().splitlines()
     # graded Heisenberg picks up the extra (1 - t^3) factor at k = 3
     assert lines[3] == "k=3: 2+q+q^2+q^3 = 16 at q=2"
+
+
+def test_coeffs_latex(capsys):
+    code, out, _ = run_cli(capsys, "coeffs", "1", "1", "--upto", "2", "--prime", "2", "--format", "latex")
+    assert code == 0
+    assert out == "k=0: 1 = 1 at q=2\nk=1: 1+q^{1} = 3 at q=2\nk=2: 1+q^{1}+q^{2} = 7 at q=2\n"
+
+
+# No golden prints a q-only factor (1 - q^a): for a < 0 its two terms keep
+# the polynomial's (et, eq) order, and a repeated one takes a power.
+FACTORS = RationalFunction(LaurentPoly.one(), [(-1, 0, 1), (2, 0, 2), (0, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "render, text",
+    [
+        (rational_text, "1/((-q^-1+1)(1-q^2)^2(1-t))"),
+        (lambda x: render_rational(x, "text", True), "1/((-q^-1+1)(1-q^2)^2(1-Y))"),
+        (rational_latex, r"\frac{1}{(-q^{-1}+1)(1-q^{2})^{2}(1-q^{-s})}"),
+        (lambda x: rational_latex(x, True), r"\frac{1}{(-Y^{0}+1)(1-Y^{0})^{2}(1-Y)}"),
+    ],
+    ids=["text", "text-Y", "latex", "latex-Y"],
+)
+def test_denominator_factors_literal(render, text):
+    assert render(FACTORS) == text
 
 
 def test_reduced_output(capsys):

@@ -209,3 +209,10 @@ def test_render_linear_matrix():
     lines = text.splitlines()
     assert len(lines) == 2
     assert "Y1" in lines[0] and "Y2" in lines[1]
+
+
+def test_render_linear_matrix_coefficients_literal():
+    # no builder makes a coefficient other than +-1, so no golden covers it
+    mat = LinearFormMatrix(2, 3, 3, {(0, 0): ((0, 2), (1, -3)), (0, 2): ((2, -1),),
+                                     (1, 1): ((0, -4), (1, 1), (2, 5)), (1, 2): ((1, 1),)})
+    assert render_linear_matrix(mat) == "[ 2Y1-3Y2            0  -Y3 ]\n[       0  -4Y1+Y2+5Y3   Y2 ]"
