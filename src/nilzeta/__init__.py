@@ -23,10 +23,6 @@ from .liering import (
 from .oracle import (
     LatticeType,
     congruence_index_check,
-    count_graded_ideals,
-    count_ideals,
-    hnf_enumerate,
-    maximal_lattice_census,
     rep_matrix_check,
     snf_valuations,
     verify_dirichlet,

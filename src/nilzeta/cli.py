@@ -116,12 +116,14 @@ def rational_text(x: RationalFunction, y_variable: bool = False) -> str:
 
 def _latex_monomial(y_variable: bool, key: tuple[int, int], c: int) -> str:
     """The term c q^eq t^et, key = (eq, et), without its sign: c q^{eq-et s},
-    or c Y^{et} if y_variable; a unit c is left out of a nonconstant term."""
+    or c q^{eq} Y^{et} if y_variable, a zero exponent's power left out; a
+    unit c is left out of a nonconstant term."""
     eq, et = key
     if key == (0, 0):
         return str(c)
     if y_variable:
-        mono = "Y" if et == 1 else f"Y^{{{et}}}"
+        ypart = "" if et == 0 else "Y" if et == 1 else f"Y^{{{et}}}"
+        mono = (f"q^{{{eq}}}" if eq else "") + ypart
     elif et == 0:
         mono = f"q^{{{eq}}}"
     else:

@@ -122,9 +122,6 @@ class LaurentPoly(Value):
             n >>= 1
         return result
 
-    def t_max(self) -> int:
-        return max(et for (_, et) in self._terms)
-
     def invert_vars(self) -> "LaurentPoly":
         """Substitute q -> 1/q and t -> 1/t simultaneously."""
         return LaurentPoly(((-eq, -et), c) for (eq, et), c in self._terms.items())

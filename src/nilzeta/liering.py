@@ -47,12 +47,6 @@ def build_structure(m: int, n: int) -> LieStructure:
     return LieStructure(dims=dims, basis_x=basis_x, basis_y=basis_y, brackets=tuple(brackets))
 
 
-def abelian_structure(m: int, n: int) -> LieStructure:
-    """Same underlying module with every bracket set to zero (oracle baseline)."""
-    s = build_structure(m, n)
-    return LieStructure(dims=s.dims, basis_x=s.basis_x, basis_y=s.basis_y, brackets=())
-
-
 class LinearFormMatrix(Value):
     """Matrix whose entries are integer linear forms in Y_1..Y_nvars.
 

@@ -6,17 +6,15 @@ upper-triangular integer matrices with diagonal (p^k_1, ..., p^k_dim) and
 every above-diagonal entry reduced modulo the diagonal entry of its column.
 A basis is the tuple of its rows, the form zlinalg.hnf_mod returns.  Column
 j has j free entries, so hnf_count reads the number of index-p^k forms off
-the x^k coefficient of prod_j 1/(1 - p^j x) without listing a diagonal;
-hnf_enumerate lists the forms themselves, for the naive references.
+the x^k coefficient of prod_j 1/(1 - p^j x) without listing a diagonal.
 
 Because the bracket of anything lands in the central coordinates and the
 center occupies the trailing block of the basis, an HNF of the full ring
 splits into independent blocks (U, R, T): U is an HNF on the non-central
 coordinates, T one on the central coordinates, and the freely ranging
-upper-right block R never enters the ideal condition.  count_ideals sums
-over (U, T) pairs and multiplies by the number of R blocks; the literal
-full-rank enumeration is kept alongside as count_ideals_naive and the two
-are compared in the test suite.
+upper-right block R never enters the ideal condition.  dirichlet_counts
+sums over (U, T) pairs and multiplies by the number of R blocks; the tests
+compare it with the literal listing of every full-rank HNF.
 
 Three exact reductions keep the (U, T) sum small.  Write kU, kT for the
 index exponents of U and T, K for the largest index exponent wanted, and
@@ -58,7 +56,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -88,24 +85,6 @@ class CeilingExceededError(RuntimeError):
         self.ceiling = ceiling
 
 
-def hnf_enumerate(dim: int, p: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every index-p^k sublattice of Z^dim exactly once, as the row
-    tuples of its Hermite normal form."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    for comp in compositions_revlex(k, dim)[::-1]:
-        diag = [p**kj for kj in comp]
-        for flat in iproduct(*(range(diag[j]) for j in range(dim) for _ in range(j))):
-            rows = [[0] * dim for _ in range(dim)]
-            pos = 0
-            for j in range(dim):
-                rows[j][j] = diag[j]
-                for i in range(j):
-                    rows[i][j] = flat[pos]
-                    pos += 1
-            yield tuple(tuple(r) for r in rows)
-
-
 def hnf_count(dim: int, p: int, k: int) -> int:
     """Number of index-p^k sublattices of Z^dim: the x^k coefficient of
     prod_(j < dim) 1/(1 - p^j x), one factor at a time (module docstring)."""
@@ -118,20 +97,6 @@ def hnf_count(dim: int, p: int, k: int) -> int:
         for s in range(1, k + 1):
             coeffs[s] += p**j * coeffs[s - 1]
     return coeffs[k]
-
-
-def hnf_contains(matrix, v) -> bool:
-    """Membership of v in the row lattice of an upper-triangular basis."""
-    v = list(v)
-    for i in range(len(matrix)):
-        if v[i]:
-            c, r = divmod(v[i], matrix[i][i])
-            if r:
-                return False
-            row = matrix[i]
-            for j in range(i, len(v)):
-                v[j] -= c * row[j]
-    return not any(v)
 
 
 def _bracket_tables(brackets, d: int, e: int):
@@ -295,49 +260,6 @@ def dirichlet_counts(struct: LieStructure, p: int, upto: int) -> tuple[list[int]
     return ideal, graded
 
 
-def count_ideals(struct: LieStructure, p: int, k: int) -> int:
-    """Number of index-p^k ideals: sublattices closed under bracketing with
-    every basis generator."""
-    return dirichlet_counts(struct, p, k)[0][k]
-
-
-def count_graded_ideals(struct: LieStructure, p: int, k: int) -> int:
-    """Number of pairs (Lambda_1 in the non-central block, Lambda_2 in the
-    center) with index product p^k and all brackets of Lambda_1 landing in
-    Lambda_2."""
-    return dirichlet_counts(struct, p, k)[1][k]
-
-
-def count_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
-    """Literal enumeration over full-rank HNF bases; used to cross-check the
-    block-decomposed fast path on small instances."""
-    d, n, h = struct.dims.d, struct.dims.n, struct.dims.h
-    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
-    count = 0
-    for basis in hnf_enumerate(h, p, k):
-        if all(
-            hnf_contains(basis, (0,) * d + v)
-            for row in basis
-            for v in _bracket_vectors(tables, n, row[:d])
-        ):
-            count += 1
-    return count
-
-
-def count_graded_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
-    """Direct pair enumeration for the graded condition."""
-    d, n = struct.dims.d, struct.dims.n
-    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
-    count = 0
-    for k1 in range(k + 1):
-        for u in hnf_enumerate(d, p, k1):
-            vectors = [v for row in u for v in _bracket_vectors(tables, n, row)]
-            for t in hnf_enumerate(n, p, k - k1):
-                if all(hnf_contains(t, v) for v in vectors):
-                    count += 1
-    return count
-
-
 class LatticeType(Value):
     """Elementary-divisor type of a maximal sublattice: jump positions I in
     [n-1] with positive jump sizes r."""
@@ -368,51 +290,6 @@ class LatticeType(Value):
         if value.denominator != 1:
             raise AssertionError("type count is not an integer")
         return value.numerator
-
-
-def type_from_valuations(vals) -> LatticeType:
-    """Classify sorted elementary-divisor valuations (first must be 0)."""
-    vals = list(vals)
-    n = len(vals)
-    if not vals or vals[0] != 0:
-        raise ValueError("lattice is not maximal")
-    positions = []
-    jumps = []
-    for i in range(n - 1):
-        if vals[i + 1] != vals[i]:
-            positions.append(i + 1)
-            jumps.append(vals[i + 1] - vals[i])
-    return LatticeType(positions=tuple(positions), jumps=tuple(jumps))
-
-
-def maximal_lattice_census(n: int, p: int, rmax: int) -> dict[LatticeType, int]:
-    """Census of maximal sublattices of Z^n by elementary-divisor type.
-
-    Enumerates all sublattices of index up to p^((n-1)*rmax), keeps the
-    maximal ones (smallest elementary divisor 1), classifies them, and
-    reports every type with all jumps <= rmax whose total index lies inside
-    the enumeration range.  Each reported count is checked against the
-    closed-form type count.
-    """
-    if rmax < 1:
-        raise ValueError("rmax must be positive")
-    bound = (n - 1) * rmax
-    counts: Counter = Counter()
-    for k in range(bound + 1):
-        for basis in hnf_enumerate(n, p, k):
-            vals = snf_valuations(basis, p, k + 1)
-            if vals[-1] > k:
-                raise AssertionError("index-p^k basis produced a divisor beyond p^k")
-            if vals[0] != 0:
-                continue
-            lattice_type = type_from_valuations(vals)
-            if any(r > rmax for r in lattice_type.jumps):
-                continue
-            counts[lattice_type] += 1
-    for lattice_type, count in counts.items():
-        if count != lattice_type.count_formula(n, p):
-            raise AssertionError(f"census mismatch for type {lattice_type}")
-    return counts
 
 
 def sample_antidiagonal(n: int, p: int, precision: int,

@@ -12,7 +12,6 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
@@ -198,17 +197,3 @@ def rational_to_obj(x: RationalFunction) -> dict:
         "num": [{"q": eq, "t": et, "c": str(c)} for (eq, et), c in x.num.sorted_terms()],
         "den": [{"a": a, "b": b, "mult": mult} for a, b, mult in x.den],
     }
-
-
-def rational_from_obj(obj: dict) -> RationalFunction:
-    num = LaurentPoly(((int(e["q"]), int(e["t"])), int(e["c"])) for e in obj["num"])
-    den = [(int(f["a"]), int(f["b"]), int(f["mult"])) for f in obj["den"]]
-    return RationalFunction(num, den)
-
-
-def rational_dumps(x: RationalFunction) -> str:
-    return json.dumps(rational_to_obj(x), separators=(",", ":"))
-
-
-def rational_loads(text: str) -> RationalFunction:
-    return rational_from_obj(json.loads(text))

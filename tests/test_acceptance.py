@@ -23,7 +23,6 @@ from nilzeta.liering import (
 from nilzeta.oracle import (
     LatticeType,
     congruence_index_check,
-    maximal_lattice_census,
     rep_matrix_check,
     verify_dirichlet,
 )
@@ -40,6 +39,8 @@ from nilzeta.zetas import (
     rep_zeta,
     topological_ideal_zeta,
 )
+
+from references import maximal_lattice_census
 
 
 def _report(number: int, name: str, ok: bool, elapsed: float) -> None:

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from nilzeta import igusa
-from nilzeta.cli import main, rational_latex, rational_text, render_rational
+from nilzeta.cli import _dumps, main, rational_latex, rational_text, render_rational
 from nilzeta.combinat import PRIME_BOUND, is_prime
 from nilzeta.laurent import LaurentPoly
-from nilzeta.rational import RationalFunction, rational_dumps, rational_loads
+from nilzeta.rational import RationalFunction, rational_to_obj
 from nilzeta.zetas import ideal_zeta
+
+from references import rational_from_obj
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +71,13 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_import_loads_no_json():
+    # the CLI writes JSON, but the package itself neither reads nor writes it
+    code = "import sys, nilzeta; print('json' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_invariants_json_fixture(capsys):
     code, out, _ = run_cli(capsys, "invariants", "2", "3", "--format", "json")
     assert code == 0
@@ -82,8 +91,8 @@ def test_ideal_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "ideal", "2", "3", "--format", "json")
     assert code == 0
     blob = out.strip()
-    assert rational_dumps(rational_loads(blob)) == blob
-    assert rational_loads(blob) == ideal_zeta(2, 3)
+    assert _dumps(rational_to_obj(rational_from_obj(json.loads(blob)))) == blob
+    assert rational_from_obj(json.loads(blob)) == ideal_zeta(2, 3)
 
 
 def test_verify_exit_zero(capsys):
@@ -649,18 +658,24 @@ def test_coeffs_latex(capsys):
 FACTORS = RationalFunction(LaurentPoly.one(), [(-1, 0, 1), (2, 0, 2), (0, 1, 1)])
 
 
+# (1 + 3 q^2 t) / ((1 - q^2)(1 - q t)): shown in Y, it keeps its q^a as its
+# text form (1+3 q^2 Y)/((1-q^2)(1-q Y)) does.
+WITH_Q = RationalFunction(LaurentPoly({(0, 0): 1, (2, 1): 3}), [(2, 0, 1), (1, 1, 1)])
+
+
 @pytest.mark.parametrize(
-    "render, text",
+    "value, render, text",
     [
-        (rational_text, "1/((-q^-1+1)(1-q^2)^2(1-t))"),
-        (lambda x: render_rational(x, "text", True), "1/((-q^-1+1)(1-q^2)^2(1-Y))"),
-        (rational_latex, r"\frac{1}{(-q^{-1}+1)(1-q^{2})^{2}(1-q^{-s})}"),
-        (lambda x: rational_latex(x, True), r"\frac{1}{(-Y^{0}+1)(1-Y^{0})^{2}(1-Y)}"),
+        (FACTORS, rational_text, "1/((-q^-1+1)(1-q^2)^2(1-t))"),
+        (FACTORS, lambda x: render_rational(x, "text", True), "1/((-q^-1+1)(1-q^2)^2(1-Y))"),
+        (FACTORS, rational_latex, r"\frac{1}{(-q^{-1}+1)(1-q^{2})^{2}(1-q^{-s})}"),
+        (FACTORS, lambda x: rational_latex(x, True), r"\frac{1}{(-q^{-1}+1)(1-q^{2})^{2}(1-Y)}"),
+        (WITH_Q, lambda x: rational_latex(x, True), r"\frac{1+3q^{2}Y}{(1-q^{2})(1-q^{1}Y)}"),
     ],
-    ids=["text", "text-Y", "latex", "latex-Y"],
+    ids=["text", "text-Y", "latex", "latex-Y", "latex-Y-q"],
 )
-def test_denominator_factors_literal(render, text):
-    assert render(FACTORS) == text
+def test_denominator_factors_literal(value, render, text):
+    assert render(value) == text
 
 
 def test_reduced_output(capsys):
@@ -687,7 +702,7 @@ def test_report_json_complete(capsys):
     assert obj["beta"] == "19/10"
     assert obj["alpha"] == 9
     for key in ("ideal", "graded", "rep_local", "reduced"):
-        assert rational_dumps(rational_loads(json.dumps(obj[key]))) == json.dumps(
+        assert _dumps(rational_to_obj(rational_from_obj(obj[key]))) == json.dumps(
             obj[key], separators=(",", ":")
         )
 

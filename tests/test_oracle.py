@@ -11,7 +11,7 @@ import pytest
 from nilzeta.combinat import PRIME_BOUND, compositions_revlex
 from nilzeta.igusa import census_subtractions
 from nilzeta import oracle, zetas
-from nilzeta.liering import abelian_structure, build_structure, rank_mod
+from nilzeta.liering import build_structure, rank_mod
 from nilzeta.oracle import (
     CeilingExceededError,
     LatticeType,
@@ -19,27 +19,23 @@ from nilzeta.oracle import (
     _row_residue_sets,
     _u_diagonals,
     congruence_index_check,
-    count_graded_ideals,
-    count_graded_ideals_naive,
-    count_ideals,
-    count_ideals_naive,
     dirichlet_counts,
     enumeration_size,
-    hnf_contains,
     hnf_count,
-    hnf_enumerate,
-    maximal_lattice_census,
     rep_matrix_check,
     sample_antidiagonal,
     snf_valuations,
     subgroup_count,
-    type_from_valuations,
     verify_dirichlet,
 )
 from nilzeta.rational import rf_series_coeffs
 from nilzeta.zlinalg import hnf_mod
 from nilzeta.zetas import (NumericalData, abelian_zeta, check_functional_equation, check_zero_behaviour,
-                           graded_ideal_zeta)
+                           graded_ideal_zeta, ideal_zeta)
+
+from references import (Z2_W, Z3_I, abelian_structure, count_graded_ideals_naive, count_ideals_naive,
+                        hnf_contains, hnf_enumerate, maximal_lattice_census, o_hnf_enumerate,
+                        o_ideal_counts, type_from_valuations)
 
 
 def test_hnf_enumerate_small_counts():
@@ -99,16 +95,16 @@ def test_hnf_contains():
 
 def test_count_ideals_examples():
     heis = build_structure(1, 1)
-    assert count_ideals(heis, 2, 0) == 1
-    assert count_ideals(heis, 2, 1) == 3
+    assert dirichlet_counts(heis, 2, 0)[0][0] == 1
+    assert dirichlet_counts(heis, 2, 1)[0][1] == 3
     grenham = build_structure(1, 2)
-    assert count_ideals(grenham, 2, 1) == 7
+    assert dirichlet_counts(grenham, 2, 1)[0][1] == 7
 
 
 def test_count_graded_examples():
     heis = build_structure(1, 1)
-    assert count_graded_ideals(heis, 2, 0) == 1
-    assert count_graded_ideals(heis, 2, 1) == 3
+    assert dirichlet_counts(heis, 2, 0)[1][0] == 1
+    assert dirichlet_counts(heis, 2, 1)[1][1] == 3
 
 
 @pytest.mark.parametrize(
@@ -118,14 +114,14 @@ def test_count_graded_examples():
 def test_fast_counts_match_naive(m, n, p, kmax):
     struct = build_structure(m, n)
     for k in range(kmax + 1):
-        assert count_ideals(struct, p, k) == count_ideals_naive(struct, p, k)
+        assert dirichlet_counts(struct, p, k)[0][k] == count_ideals_naive(struct, p, k)
 
 
 @pytest.mark.parametrize("m,n,p,kmax", [(1, 1, 2, 3), (1, 2, 2, 2), (1, 2, 3, 2), (2, 2, 2, 2)])
 def test_fast_graded_match_naive(m, n, p, kmax):
     struct = build_structure(m, n)
     for k in range(kmax + 1):
-        assert count_graded_ideals(struct, p, k) == count_graded_ideals_naive(struct, p, k)
+        assert dirichlet_counts(struct, p, k)[1][k] == count_graded_ideals_naive(struct, p, k)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
@@ -134,7 +130,36 @@ def test_abelian_structure_counts_all_sublattices(m, n):
     h = struct.dims.h
     for p in (2, 3):
         for k in range(4):
-            assert count_ideals(struct, p, k) == hnf_count(h, p, k)
+            assert dirichlet_counts(struct, p, k)[0][k] == hnf_count(h, p, k)
+
+
+@pytest.mark.parametrize("ring", [Z2_W, Z3_I], ids=["q4", "q9"])
+@pytest.mark.parametrize("dim,kmax", [(1, 3), (2, 2), (3, 1)])
+def test_o_hnf_enumerate_matches_count(ring, dim, kmax):
+    p = ring[0]
+    for k in range(kmax + 1):
+        forms = list(o_hnf_enumerate(dim, p, k))
+        assert len(set(forms)) == len(forms) == hnf_count(dim, p * p, k)
+
+
+# Ideal and graded counts of L(m, n) tensor O, with O = Z_p[w] unramified of
+# residue field F_q, q = p^2, by listing every O-Hermite form.  At q = p the
+# closed form reads [1, 3, 7, 19] for (1, 1), so a formula that took q for p
+# fails here.
+RESIDUE_FIELD_COUNTS = {
+    (1, 1, Z2_W, 3): ([1, 5, 21, 101], [1, 5, 21, 86]),
+    (1, 1, Z3_I, 3): ([1, 10, 91, 901], [1, 10, 91, 821]),
+    (1, 2, Z2_W, 2): ([1, 21, 357], [1, 21, 357]),
+}
+
+
+@pytest.mark.parametrize("m,n,ring,upto", list(RESIDUE_FIELD_COUNTS), ids=["1-1-q4", "1-1-q9", "1-2-q4"])
+def test_counts_over_a_larger_residue_field(m, n, ring, upto):
+    ideal, graded = RESIDUE_FIELD_COUNTS[(m, n, ring, upto)]
+    q = ring[0] ** 2
+    assert o_ideal_counts(build_structure(m, n), ring, upto) == (ideal, graded)
+    for zeta, counts in ((ideal_zeta(m, n), ideal), (graded_ideal_zeta(m, n), graded)):
+        assert [c.value_at_q(q) for c in rf_series_coeffs(zeta, upto)] == counts
 
 
 # Ideal and graded counts of every `verify` case in the benchmark pool, plus
@@ -258,17 +283,17 @@ def test_oracle_refuses_non_prime(q):
         verify_dirichlet(1, 1, q, 2 if q < 10 else 0)
     with pytest.raises(ValueError):
         dirichlet_counts(struct, q, 2 if q < 10 else 0)
+    k = 1 if q < 10 else 0
     with pytest.raises(ValueError):
-        count_ideals(struct, q, 1 if q < 10 else 0)
+        dirichlet_counts(struct, q, k)[0][k]
     with pytest.raises(ValueError):
-        count_graded_ideals(struct, q, 1 if q < 10 else 0)
+        dirichlet_counts(struct, q, k)[1][k]
 
 
 def test_oracle_refuses_negative_index():
     struct = build_structure(1, 2)
-    for count in (dirichlet_counts, count_ideals, count_graded_ideals):
-        with pytest.raises(ValueError, match="nonnegative"):
-            count(struct, 2, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dirichlet_counts(struct, 2, -1)
 
 
 def test_import_leaves_process_pool_unloaded():
