@@ -34,9 +34,11 @@ r = K - kU for the tail budget of U.
   lattice spanned so far, each weighted by the number of residue prefixes
   (times the lift count) that reach it.  Each row's residues are tallied by
   the Hermite form of their span, and every state is joined with every
-  span.  Inside one call each Hermite form, of a residue's brackets or of
-  a join, is computed once per r, so the work is one bracket-vector set
-  per row residue (enumeration_size counts them) plus dictionary lookups.
+  span.  Row i's tally depends only on r and its capped exponents
+  min(k_j, r), j >= i (its head is p^k_i mod p^r), so inside one call each
+  such pattern is tallied once, and each Hermite form, of a residue's
+  brackets or of a join, once per r: one bracket-vector set per residue of
+  a distinct pattern (enumeration_size bounds them), plus lookups.
 - Tails.  The tails of index p^kT that contain M + p^r Z^n correspond to
   the subgroups of index, equivalently of order, p^kT in the finite abelian
   group Z^n / (M + p^r Z^n).  Its type is read off the Smith valuations of
@@ -66,7 +68,7 @@ from .combinat import (DIMS_BOUND, Value, compositions_revlex, dims_exceed, e_co
 from .igusa import census_subtractions
 from .liering import LieStructure, bracket_matrix, build_structure, specialize
 from .rational import rf_series_coeffs
-from .zlinalg import _smith, hnf_mod, snf_valuations
+from .zlinalg import _hermite, _smith, snf_valuations
 from .zetas import graded_ideal_zeta, ideal_zeta, numerical_data
 
 DEFAULT_CEILING = 10**8
@@ -110,20 +112,16 @@ def _bracket_tables(brackets, d: int, e: int):
     return tables
 
 
-def _bracket_vectors(tables, n: int, u) -> list[tuple[int, ...]]:
-    """Nonzero central vectors [b_g, u] over all generators g."""
+def _bracket_vectors(tables, n: int, u, modulus: int) -> list[tuple[int, ...]]:
+    """Nonzero central vectors [b_g, u] modulo `modulus`, over all generators g."""
     out = []
     for entries in tables:
-        if not entries:
-            continue
         v = [0] * n
-        hit = False
         for j, kk, sign in entries:
             if u[j]:
                 v[kk] += sign * u[j]
-                hit = True
-        if hit and any(v):
-            out.append(tuple(v))
+        if any(v) and any(v := tuple(x % modulus for x in v)):
+            out.append(v)
     return out
 
 
@@ -133,11 +131,11 @@ def _u_diagonals(d: int, upto: int) -> list[tuple[int, ...]]:
 
 
 def enumeration_size(d: int, n: int, p: int, upto: int) -> int:
-    """Work estimate of verify_dirichlet: the row residues the oracle visits,
-    the sum over diagonals with kU < upto and rows i of
-    prod_(j > i) min(p^k_j, p^(upto - kU)), plus the coefficient
-    subtractions of the descent census behind the closed form
-    (igusa.census_subtractions).
+    """Work estimate of verify_dirichlet: the sum over diagonals with
+    kU < upto and rows i of prod_(j > i) min(p^k_j, p^(upto - kU)), an upper
+    bound on the row residues the oracle expands (a row pattern that recurs
+    is expanded once), plus the coefficient subtractions of the descent
+    census behind the closed form (igusa.census_subtractions).
 
     The diagonals are not listed, since there are C(d + upto - 1, upto - 1)
     of them.  For each kU let W(x) = sum_k min(p^k, p^(upto - kU)) x^k, and
@@ -179,24 +177,6 @@ def _refuse_rows(d: int, p: int, upto: int, ceiling: int) -> None:
         raise CeilingExceededError(f"at least {d - 1}*{p}^{upto // 2}+1", ceiling)
 
 
-def _row_residue_sets(tables, n: int, comp, p: int, modulus: int) -> list[list[frozenset]]:
-    """For each row i of an HNF with diagonal (p^k for k in comp), one entry
-    per residue of the row's free entries modulo `modulus`: the set of the
-    row's nonzero bracket vectors reduced modulo `modulus`."""
-    dim = len(comp)
-    diag = [p**ki for ki in comp]
-    rows = []
-    for i in range(dim):
-        head = [0] * i + [diag[i] % modulus]
-        sets = []
-        for free in iproduct(*(range(min(diag[j], modulus)) for j in range(i + 1, dim))):
-            reduced = (tuple(x % modulus for x in v)
-                       for v in _bracket_vectors(tables, n, head + list(free)))
-            sets.append(frozenset(v for v in reduced if any(v)))
-        rows.append(sets)
-    return rows
-
-
 def subgroup_count(lam, k: int, p: int) -> int:
     """Number of subgroups of order p^k in an abelian p-group of type lam.
 
@@ -234,20 +214,34 @@ def dirichlet_counts(struct: LieStructure, p: int, upto: int) -> tuple[list[int]
     tables = _bracket_tables(struct.brackets, d, e)
     classes: Counter = Counter()
 
+    hermite = cache(_hermite)
+
     @cache
-    def hermite(r: int, vectors) -> tuple:
-        return hnf_mod(vectors, n, p, r)
+    def row_spans(r: int, i: int, caps: tuple[tuple[int, int], ...]) -> Counter:
+        # row i's residues modulo p^r, tallied by the Hermite form of their
+        # brackets; caps holds the nonzero (j, min(k_j, r)) for j >= i
+        modulus = p**r
+        free = [(j, c) for j, c in caps if j > i]
+        u = [0] * d
+        u[i] = p ** dict(caps).get(i, 0) % modulus
+        spans: Counter = Counter()
+        for values in iproduct(*(range(p**c) for _, c in free)):
+            for (j, _), x in zip(free, values):
+                u[j] = x
+            spans[hermite(frozenset(_bracket_vectors(tables, n, u, modulus)), n, p, r)] += 1
+        return spans
 
     for comp in _u_diagonals(d, upto):
         r = upto - sum(comp)
         lifts = p ** sum(j * max(kj - r, 0) for j, kj in enumerate(comp))
-        states = {hermite(r, ()): lifts}
-        for row in _row_residue_sets(tables, n, comp, p, p**r):
-            spans = Counter(hermite(r, vectors) for vectors in row)
+        caps = [(j, min(kj, r)) for j, kj in enumerate(comp) if kj]
+        states = {hermite((), n, p, r): lifts}
+        for i in range(d):
+            spans = row_spans(r, i, tuple(jc for jc in caps if jc[0] >= i))
             joined: Counter = Counter()
             for state, weight in states.items():
                 for span, count in spans.items():
-                    joined[hermite(r, state + span)] += weight * count
+                    joined[hermite(state + span, n, p, r)] += weight * count
             states = joined
         for state, weight in states.items():
             classes[(r, state)] += weight

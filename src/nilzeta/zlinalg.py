@@ -142,6 +142,11 @@ def hnf_mod(vectors, n: int, p: int, r: int) -> tuple[tuple[int, ...], ...]:
     Raises ValueError unless p is prime, r positive and every vector of
     length n."""
     _require(p, r)
+    return _hermite(vectors, n, p, r)
+
+
+def _hermite(vectors, n: int, p: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """hnf_mod without the prime and precision checks."""
     modulus = p**r
     pending, _, width = _rows(vectors, modulus, False)
     if width not in (None, n):

@@ -22,7 +22,7 @@ from itertools import product as iproduct
 from nilzeta.combinat import compositions_revlex
 from nilzeta.laurent import LaurentPoly
 from nilzeta.liering import LieStructure, build_structure
-from nilzeta.oracle import LatticeType, _bracket_tables, _bracket_vectors
+from nilzeta.oracle import LatticeType
 from nilzeta.rational import RationalFunction
 from nilzeta.zlinalg import snf_valuations
 
@@ -59,17 +59,28 @@ def hnf_contains(matrix, v) -> bool:
     return not any(v)
 
 
+def generator_brackets(struct: LieStructure, u) -> list[tuple[int, ...]]:
+    """[u, b_g] in the central coordinates for every generator b_g of the
+    non-central block, u in Z^d, read off struct.brackets: a triple
+    (ix, iy, k) there means [x_ix, y_iy] = z_k, so [y_iy, x_ix] = -z_k."""
+    e = struct.dims.e
+    out = [[0] * struct.dims.n for _ in range(struct.dims.d)]
+    for ix, iy, k in struct.brackets:
+        out[e + iy][k - 1] += u[ix]
+        out[ix][k - 1] -= u[e + iy]
+    return [tuple(v) for v in out]
+
+
 def count_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
     """Literal enumeration over full-rank HNF bases; used to cross-check the
     block-decomposed fast path on small instances."""
-    d, n, h = struct.dims.d, struct.dims.n, struct.dims.h
-    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
+    d, h = struct.dims.d, struct.dims.h
     count = 0
     for basis in hnf_enumerate(h, p, k):
         if all(
             hnf_contains(basis, (0,) * d + v)
             for row in basis
-            for v in _bracket_vectors(tables, n, row[:d])
+            for v in generator_brackets(struct, row[:d])
         ):
             count += 1
     return count
@@ -78,11 +89,10 @@ def count_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
 def count_graded_ideals_naive(struct: LieStructure, p: int, k: int) -> int:
     """Direct pair enumeration for the graded condition."""
     d, n = struct.dims.d, struct.dims.n
-    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
     count = 0
     for k1 in range(k + 1):
         for u in hnf_enumerate(d, p, k1):
-            vectors = [v for row in u for v in _bracket_vectors(tables, n, row)]
+            vectors = [v for row in u for v in generator_brackets(struct, row)]
             for t in hnf_enumerate(n, p, k - k1):
                 if all(hnf_contains(t, v) for v in vectors):
                     count += 1
@@ -203,27 +213,25 @@ def o_ideal_counts(struct: LieStructure, ring, upto: int) -> tuple[list[int], li
     row u and every basis vector e_g; it is graded when, besides, the rows
     of the non-central block are zero in the central columns."""
     p, g = ring
-    d, n, h = struct.dims.d, struct.dims.n, struct.dims.h
-    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
+    d, h = struct.dims.d, struct.dims.h
     zero = ((0, 0),) * d
     ideal, graded = [0] * (upto + 1), [0] * (upto + 1)
     for k in range(upto + 1):
         for basis in o_hnf_enumerate(h, p, k):
             if all(o_contains(g, basis, zero + v)
-                   for row in basis for v in _o_bracket_vectors(tables, n, row[:d])):
+                   for row in basis for v in _o_generator_brackets(struct, row[:d])):
                 ideal[k] += 1
                 graded[k] += not any(a or b for row in basis[:d] for a, b in row[d:])
     return ideal, graded
 
 
-def _o_bracket_vectors(tables, n: int, u) -> list[tuple[tuple[int, int], ...]]:
-    """Nonzero central vectors [b_g, u] over all generators g, for u in O^d."""
-    out = []
-    for entries in tables:
-        v = [(0, 0)] * n
-        for j, kk, sign in entries:
-            a, b = u[j]
-            v[kk] = (v[kk][0] + sign * a, v[kk][1] + sign * b)
-        if any(a or b for a, b in v):
-            out.append(tuple(v))
-    return out
+def _o_generator_brackets(struct: LieStructure, u) -> list[tuple[tuple[int, int], ...]]:
+    """The nonzero [u, b_g] for u in O^d, by generator_brackets' rule: each
+    b_g is rational, so the parts a and b of a + b w add separately."""
+    e = struct.dims.e
+    out = [[(0, 0)] * struct.dims.n for _ in range(struct.dims.d)]
+    for ix, iy, k in struct.brackets:
+        for g, j, sign in ((e + iy, ix, 1), (ix, e + iy, -1)):
+            (a, b), (c, f) = out[g][k - 1], u[j]
+            out[g][k - 1] = (a + sign * c, b + sign * f)
+    return [tuple(v) for v in out if any(map(any, v))]

@@ -15,8 +15,6 @@ from nilzeta.liering import build_structure, rank_mod
 from nilzeta.oracle import (
     CeilingExceededError,
     LatticeType,
-    _bracket_tables,
-    _row_residue_sets,
     _u_diagonals,
     congruence_index_check,
     dirichlet_counts,
@@ -187,21 +185,52 @@ def test_dirichlet_counts_pinned(m, n, p, upto):
     assert dirichlet_counts(build_structure(m, n), p, upto) == (ideal, graded)
 
 
+def _row_residues(d, p, r, comp):
+    """Residues modulo p^r of each row's free entries, for the HNFs of Z^d
+    with diagonal (p^k for k in comp): prod_(j > i) p^min(k_j, r) for row i."""
+    return [prod(p ** min(kj, r) for kj in comp[i + 1:]) for i in range(d)]
+
+
 @pytest.mark.parametrize(
     "m,n,p,upto,rows",
     [(2, 2, 2, 4, 575), (1, 3, 2, 5, 631), (2, 2, 2, 5, 1591), (2, 3, 2, 3, 939)],
 )
 def test_enumeration_size_counts_row_residues(m, n, p, upto, rows):
-    struct = build_structure(m, n)
-    d = struct.dims.d
-    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
+    d = build_structure(m, n).dims.d
     visited = sum(
-        len(row)
+        sum(_row_residues(d, p, upto - ku, comp))
         for ku in range(upto)
         for comp in compositions_revlex(ku, d)
-        for row in _row_residue_sets(tables, n, comp, p, p ** (upto - ku))
     )
     assert visited == rows == enumeration_size(d, n, p, upto) - census_subtractions(n)
+
+
+def test_oracle_expands_each_row_pattern_once(monkeypatch):
+    # row i's tally depends only on r and its capped exponents min(k_j, r),
+    # j >= i; each distinct pattern's residues are expanded once, and each
+    # expanded residue reads its bracket vectors once
+    m, n, p, upto = 2, 3, 2, 3
+    struct = build_structure(m, n)
+    d = struct.dims.d
+    patterns = {}
+    for ku in range(upto):
+        r = upto - ku
+        for comp in compositions_revlex(ku, d):
+            for i, residues in enumerate(_row_residues(d, p, r, comp)):
+                patterns[(r, i, tuple(min(kj, r) for kj in comp[i:]))] = residues
+    expanded = []
+    bracket_vectors = oracle._bracket_vectors
+
+    def counting(*args):
+        expanded.append(1)
+        return bracket_vectors(*args)
+
+    monkeypatch.setattr(oracle, "_bracket_vectors", counting)
+    # below t^7 the (2, 3) counts are the sublattice counts of Z^9
+    counts = [hnf_count(d, p, k) for k in range(upto + 1)]
+    assert dirichlet_counts(struct, p, upto) == (counts, counts)
+    assert len(expanded) == sum(patterns.values()) == 595
+    assert enumeration_size(d, n, p, upto) - census_subtractions(n) == 939
 
 
 def test_enumeration_size_row_sum_matches_diagonals():
@@ -211,8 +240,7 @@ def test_enumeration_size_row_sum_matches_diagonals():
             for upto in range(7):
                 rows = 0
                 for comp in _u_diagonals(d, upto):
-                    cap = p ** (upto - sum(comp))
-                    rows += sum(prod(min(p**kj, cap) for kj in comp[i + 1:]) for i in range(d))
+                    rows += sum(_row_residues(d, p, upto - sum(comp), comp))
                 assert enumeration_size(d, 2, p, upto) - census_subtractions(2) == rows
 
 
@@ -227,18 +255,14 @@ def test_enumeration_size_does_not_list_diagonals(monkeypatch):
 
 @pytest.mark.parametrize("m,n,p,upto", [(1, 1, 2, 4), (1, 2, 2, 3), (1, 2, 3, 2), (2, 2, 2, 2)])
 def test_row_residues_parametrise_u(m, n, p, upto):
-    struct = build_structure(m, n)
-    d = struct.dims.d
-    tables = _bracket_tables(struct.brackets, d, struct.dims.e)
+    d = build_structure(m, n).dims.d
     tuples = 0
     lifted = 0
     residues = set()
     for ku in range(upto):
         r = upto - ku
         for comp in compositions_revlex(ku, d):
-            size = 1
-            for row in _row_residue_sets(tables, struct.dims.n, comp, p, p**r):
-                size *= len(row)
+            size = prod(_row_residues(d, p, r, comp))
             tuples += size
             lifted += size * p ** sum(j * max(kj - r, 0) for j, kj in enumerate(comp))
         # independently: distinct (diagonal, entries mod p^r) over all HNFs
