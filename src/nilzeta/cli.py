@@ -341,6 +341,9 @@ def _suite_list(text: str) -> list[str]:
 
 def _run_check(args) -> int:
     n, e, f = args.n, e_count(args.m, args.n), f_count(args.m, args.n)
+    # commat's charge is at least 3^n, and 3^b > ceiling for b its bit length
+    if "commat" in args.suite and 3 ** min(n, DEFAULT_CEILING.bit_length()) > DEFAULT_CEILING:
+        raise CeilingExceededError(f"at least 3^{n}", DEFAULT_CEILING)
     work = sum(_SUITES[suite][0](n, e, f) for suite in args.suite)
     if args.print and "commat" in args.suite:
         work += e * f + (e + f) ** 2  # the cells of B and of M that --print renders

@@ -5,8 +5,8 @@ Finite-index sublattices of Z^dim are parametrized by Hermite normal forms:
 upper-triangular integer matrices with diagonal (p^k_1, ..., p^k_dim) and
 every above-diagonal entry reduced modulo the diagonal entry of its column.
 A basis is the tuple of its rows, the form zlinalg.hnf_mod returns.  Column
-j has j free entries, so hnf_count reads the number of index-p^k forms off
-the x^k coefficient of prod_j 1/(1 - p^j x) without listing a diagonal.
+j has j free entries, so hnf_count forms the number of index-p^k forms, the
+x^k coefficient of prod_j 1/(1 - p^j x), without listing a diagonal.
 
 Because the bracket of anything lands in the central coordinates and the
 center occupies the trailing block of the basis, an HNF of the full ring
@@ -38,7 +38,8 @@ r = K - kU for the tail budget of U.
   min(k_j, r), j >= i (its head is p^k_i mod p^r), so inside one call each
   such pattern is tallied once, and each Hermite form, of a residue's
   brackets or of a join, once per r: one bracket-vector set per residue of
-  a distinct pattern (enumeration_size bounds them), plus lookups.
+  a distinct pattern (enumeration_size bounds them), plus lookups.  A
+  residue's brackets are summed over its own entries, not all d generators.
 - Tails.  The tails of index p^kT that contain M + p^r Z^n correspond to
   the subgroups of index, equivalently of order, p^kT in the finite abelian
   group Z^n / (M + p^r Z^n).  Its type is read off the Smith valuations of
@@ -57,14 +58,14 @@ exact integers and explicit modular reduction, never over floats.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 from math import comb
 
 from .combinat import (DIMS_BOUND, Value, compositions_revlex, dims_exceed, e_count, f_count,
-                       gaussian_binomial, gaussian_multinomial, lie_dims, require_prime)
+                       gaussian_multinomial, lie_dims, require_prime)
 from .igusa import census_subtractions
 from .liering import LieStructure, bracket_matrix, build_structure, specialize
 from .rational import rf_series_coeffs
@@ -89,40 +90,37 @@ class CeilingExceededError(RuntimeError):
 
 def hnf_count(dim: int, p: int, k: int) -> int:
     """Number of index-p^k sublattices of Z^dim: the x^k coefficient of
-    prod_(j < dim) 1/(1 - p^j x), one factor at a time (module docstring)."""
+    prod_(j < dim) 1/(1 - p^j x), (dim + k - 1 choose k)_p = prod_(j = 1..k)
+    (p^(dim + j - 1) - 1)/(p^j - 1), whose partial products are such binomials: each division is exact."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     if k < 0:
         return 0
-    coeffs = [1] + [0] * k
-    for j in range(dim):
-        for s in range(1, k + 1):
-            coeffs[s] += p**j * coeffs[s - 1]
-    return coeffs[k]
+    count = 1
+    for j in range(1, k + 1):
+        count = count * (p ** (dim + j - 1) - 1) // (p**j - 1)
+    return count
 
 
 def _bracket_tables(brackets, d: int, e: int):
-    """Per-generator sparse bracket actions: for generator g, a list of
-    (coordinate j, center index k-1, sign) such that [b_g, u] picks up
-    sign * u_j in central coordinate k."""
-    tables: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
+    """Per-coordinate sparse bracket actions: for coordinate j, a list of
+    (generator g, center index k-1, sign) such that [b_g, e_j] = sign * z_k."""
+    columns: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
     for ix, iy, k in brackets:
-        tables[ix].append((e + iy, k - 1, 1))
-        tables[e + iy].append((ix, k - 1, -1))
-    return tables
+        columns[e + iy].append((ix, k - 1, 1))
+        columns[ix].append((e + iy, k - 1, -1))
+    return columns
 
 
-def _bracket_vectors(tables, n: int, u, modulus: int) -> list[tuple[int, ...]]:
-    """Nonzero central vectors [b_g, u] modulo `modulus`, over all generators g."""
-    out = []
-    for entries in tables:
-        v = [0] * n
-        for j, kk, sign in entries:
-            if u[j]:
-                v[kk] += sign * u[j]
-        if any(v) and any(v := tuple(x % modulus for x in v)):
-            out.append(v)
-    return out
+def _bracket_vectors(columns, n: int, u: dict[int, int], modulus: int) -> list[tuple[int, ...]]:
+    """Nonzero central vectors [b_g, u] modulo `modulus`, for u a dict from
+    coordinate to entry: v_g sums u_j [b_g, e_j] over u's entries, so only
+    the generators that meet u's support are visited."""
+    vectors: defaultdict[int, list[int]] = defaultdict(lambda: [0] * n)
+    for j, x in u.items():
+        for g, kk, sign in columns[j] if x else ():
+            vectors[g][kk] += sign * x
+    return [v for v in (tuple(x % modulus for x in v) for v in vectors.values()) if any(v)]
 
 
 def _u_diagonals(d: int, upto: int) -> list[tuple[int, ...]]:
@@ -195,7 +193,8 @@ def subgroup_count(lam, k: int, p: int) -> int:
         for a in range(after, min(top, left) + 1):
             if a * i > left:
                 break
-            binom = sum(c * p**j for j, c in enumerate(gaussian_binomial(top - after, a - after)))
+            # (top - after choose a - after)_p, since (A choose B)_p = hnf_count(A - B + 1, p, B)
+            binom = hnf_count(top - a + 1, p, a - after)
             total += p ** (after * (top - a)) * binom * columns(i - 1, a, left - a)
         return total
 
@@ -211,24 +210,22 @@ def dirichlet_counts(struct: LieStructure, p: int, upto: int) -> tuple[list[int]
     d, n, e = struct.dims.d, struct.dims.n, struct.dims.e
     ideal = [hnf_count(d, p, k) for k in range(upto + 1)]
     graded = list(ideal)
-    tables = _bracket_tables(struct.brackets, d, e)
+    columns = _bracket_tables(struct.brackets, d, e)
     classes: Counter = Counter()
 
     hermite = cache(_hermite)
 
     @cache
     def row_spans(r: int, i: int, caps: tuple[tuple[int, int], ...]) -> Counter:
-        # row i's residues modulo p^r, tallied by the Hermite form of their
-        # brackets; caps holds the nonzero (j, min(k_j, r)) for j >= i
+        # row i's residues modulo p^r as {column: entry}, tallied by the Hermite
+        # form of their brackets; caps holds the nonzero (j, min(k_j, r)), j >= i
         modulus = p**r
-        free = [(j, c) for j, c in caps if j > i]
-        u = [0] * d
-        u[i] = p ** dict(caps).get(i, 0) % modulus
+        entries = {j: range(p**c) for j, c in caps if j > i}
+        entries[i] = [p ** dict(caps).get(i, 0) % modulus]
         spans: Counter = Counter()
-        for values in iproduct(*(range(p**c) for _, c in free)):
-            for (j, _), x in zip(free, values):
-                u[j] = x
-            spans[hermite(frozenset(_bracket_vectors(tables, n, u, modulus)), n, p, r)] += 1
+        for values in iproduct(*entries.values()):
+            u = dict(zip(entries, values))
+            spans[hermite(frozenset(_bracket_vectors(columns, n, u, modulus)), n, p, r)] += 1
         return spans
 
     for comp in _u_diagonals(d, upto):

@@ -165,6 +165,8 @@ def run_subprocess(*argv, timeout):
     pytest.param(("verify", "1", "15000", "--upto", "1"), id="verify-15000"),
     pytest.param(("verify", "1", "1000000000", "--upto", "1"), id="verify-1e9"),
     pytest.param(("verify", "1", "1", "--prime", "1000003", "--upto", "400"), id="verify-p1000003"),
+    # commat's charge of at least 3^999998, at d = 10^6
+    pytest.param(("check", "1", "999998", "--suite", "commat"), id="commat-999998"),
 ])
 def test_huge_inputs_refused_by_lower_bounds(argv):
     # refused before the census count, the dimensions or the exact row
@@ -318,6 +320,17 @@ def test_topo_reaches_degree_20000():
     assert proc.returncode == 0
     # the d + n = 40,001 linear factors and the denominator's bracket
     assert proc.stdout.count("(") == 40002
+
+
+def test_verify_reaches_dimension_22801():
+    # needs a residue's bracket vectors summed over its own entries, not over
+    # all d generators, and hnf_count in k steps rather than d
+    proc = run_subprocess("verify", "150", "3", "--upto", "1", timeout=30)
+    assert proc.returncode == 0
+    # the k = 1 count has 6,864 digits, past json's default int-to-str limit
+    lines = proc.stdout.splitlines()
+    assert [line[:line.index(",")] for line in lines] == ['{"k":0', '{"k":1']
+    assert all(line.endswith('"match":true}') for line in lines)
 
 
 @pytest.mark.parametrize("argv,digits", [

@@ -32,8 +32,8 @@ from nilzeta.zetas import (NumericalData, abelian_zeta, check_functional_equatio
                            graded_ideal_zeta, ideal_zeta)
 
 from references import (Z2_W, Z3_I, abelian_structure, count_graded_ideals_naive, count_ideals_naive,
-                        hnf_contains, hnf_enumerate, maximal_lattice_census, o_hnf_enumerate,
-                        o_ideal_counts, type_from_valuations)
+                        generator_brackets, hnf_contains, hnf_enumerate, maximal_lattice_census,
+                        o_hnf_enumerate, o_ideal_counts, type_from_valuations)
 
 
 def test_hnf_enumerate_small_counts():
@@ -81,6 +81,13 @@ def test_hnf_count_lists_no_composition(monkeypatch):
     assert count == rf_series_coeffs(abelian_zeta(105), 4)[4].value_at_q(2)
 
 
+def test_hnf_count_takes_k_steps():
+    # the Gaussian-binomial product takes k steps, not one per column
+    start = time.perf_counter()
+    assert hnf_count(10**5, 2, 1) == 2**(10**5) - 1
+    assert time.perf_counter() - start < 0.5
+
+
 def test_hnf_contains():
     matrix = ((2, 1, 0), (0, 1, 0), (0, 0, 4))
     assert hnf_contains(matrix, (2, 1, 0))
@@ -113,6 +120,23 @@ def test_fast_counts_match_naive(m, n, p, kmax):
     struct = build_structure(m, n)
     for k in range(kmax + 1):
         assert dirichlet_counts(struct, p, k)[0][k] == count_ideals_naive(struct, p, k)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (5, 3)])
+def test_bracket_vectors_from_the_support_match_generator_brackets(m, n):
+    # summed over a sparse row's entries, the vectors [b_g, u] are those of
+    # every generator, negated since generator_brackets gives [u, b_g]
+    struct = build_structure(m, n)
+    d = struct.dims.d
+    columns = oracle._bracket_tables(struct.brackets, d, struct.dims.e)
+    rng = random.Random(35 * m + n)
+    for _ in range(200):
+        p, r = rng.choice((2, 3)), rng.randint(1, 3)
+        modulus = p**r
+        u = {j: rng.randrange(modulus) for j in rng.sample(range(d), rng.randint(1, 4))}
+        dense = [u.get(j, 0) for j in range(d)]
+        expected = {tuple(-x % modulus for x in v) for v in generator_brackets(struct, dense)}
+        assert set(oracle._bracket_vectors(columns, n, u, modulus)) == expected - {(0,) * n}
 
 
 @pytest.mark.parametrize("m,n,p,kmax", [(1, 1, 2, 3), (1, 2, 2, 2), (1, 2, 3, 2), (2, 2, 2, 2)])
