@@ -23,6 +23,7 @@ from .liering import (
 from .oracle import (
     LatticeType,
     congruence_index_check,
+    index_exponent,
     rep_matrix_check,
     snf_valuations,
     verify_dirichlet,

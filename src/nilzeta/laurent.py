@@ -129,18 +129,30 @@ class LaurentPoly(Value):
     def value_at_q(self, q_value) -> Fraction:
         """Evaluate a polynomial in q alone at a concrete value a/b, exactly.
 
-        Horner's rule in integers from the top exponent down: after the
-        exponent e, total / scale = sum over e' >= e of c q^(e' - e).
+        With lo and hi the least and greatest exponent, the value is q^lo
+        times the integer sum of c a^(e - lo) b^(hi - e) over b^(hi - lo).
+        That sum is formed by halves of the sorted terms, each half
+        homogenised over its own exponents, so the work goes into a few
+        large multiplications rather than one per term.
         """
         if any(et for _, et in self._terms):
             raise ValueError("value_at_q requires a polynomial in q alone")
         q = Fraction(q_value)
-        total, scale, last = 0, 1, None
-        for (eq, _), c in sorted(self._terms.items(), reverse=True):
-            if last is not None:
-                total, scale = total * q.numerator ** (last - eq), scale * q.denominator ** (last - eq)
-            total, last = total + c * scale, eq
-        return Fraction(total, scale) * q ** last if last is not None else Fraction(0)
+        if not self._terms:
+            return Fraction(0)
+        terms = sorted((eq, c) for (eq, _), c in self._terms.items())
+        a, b = q.numerator, q.denominator
+
+        def homogenised(i: int, j: int) -> int:
+            # the sum over terms[i:j], homogenised over their exponents
+            if j - i == 1:
+                return terms[i][1]
+            h = (i + j) // 2
+            return (homogenised(i, h) * b ** (terms[j - 1][0] - terms[h - 1][0])
+                    + homogenised(h, j) * a ** (terms[h][0] - terms[i][0]))
+
+        lo, hi = terms[0][0], terms[-1][0]
+        return Fraction(homogenised(0, len(terms)), b ** (hi - lo)) * q**lo
 
     def constant_value(self) -> int:
         """The value of a constant polynomial (zero polynomial gives 0)."""

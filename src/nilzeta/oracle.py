@@ -67,7 +67,7 @@ from math import comb
 from .combinat import (DIMS_BOUND, Value, compositions_revlex, dims_exceed, e_count, f_count,
                        gaussian_multinomial, lie_dims, require_prime)
 from .igusa import census_subtractions
-from .liering import LieStructure, bracket_matrix, build_structure, specialize
+from .liering import LieStructure, LinearFormMatrix, bracket_matrix, build_structure, specialize
 from .rational import rf_series_coeffs
 from .zlinalg import _hermite, _smith, snf_valuations
 from .zetas import graded_ideal_zeta, ideal_zeta, numerical_data
@@ -303,46 +303,46 @@ def sample_antidiagonal(n: int, p: int, precision: int,
     return tuple(rows)
 
 
+def index_exponent(b: LinearFormMatrix, columns, p: int, r: int) -> int:
+    """x(T) = log_p [Z^d : X(T)], X(T) the u with every [u, b_g] in T, for
+    T = {v in Z^n : v.s = 0 mod p^r for every column s}: the sum of
+    max(r - v, 0) over the Smith valuations, at precision max(r, 1), of B's
+    blocks at the columns stacked (B(s) u_x = 0) and side by side
+    (u_y^T B(s) = 0).  With one column both are B(s), eliminated once."""
+    blocks = [specialize(b, s) for s in columns]
+    if len(blocks) == 1:
+        return 2 * sum(max(r - v, 0) for v in snf_valuations(blocks[0], p, max(r, 1)))
+    side_by_side = [{j + k * b.cols: x for k, row in enumerate(rows) for j, x in row.items()}
+                    for rows in zip(*blocks)]
+    stacked = [row for block in blocks for row in block]
+    return sum(max(r - v, 0) for mat in (side_by_side, stacked)
+               for v in snf_valuations(mat, p, max(r, 1)))
+
+
 def congruence_index_check(m: int, n: int, lattice_type: LatticeType, p: int,
                            seed: int) -> bool:
-    """Check that the solution index of the scaled commutator congruences
-    depends only on the lattice type, via Smith valuations.
-
-    Block j is B at column j of a sampled antidiagonal representative times
-    p^(sum of jumps at positions >= j).  Up to sign, the commutator matrices
-    side by side split into the blocks side by side (B rows) and stacked (B^T
-    rows, transposed); log_p of the index of {g : g C = 0 mod p^r}, summed
-    over the two, must be the sum of r_i * (b_i - (n - i)), b_i as in
-    numerical_data.  Raises ValueError unless n >= 2 and positions lie in [1, n - 1]."""
+    """Check x(T) at a sampled antidiagonal representative of the type, column
+    j scaled by p^(sum of jumps at positions >= j), against the index formula
+    sum r_i (b_i - (n - i)), b_i as in numerical_data.
+    Raises ValueError unless n >= 2 and positions lie in [1, n - 1]."""
     if n < 2:
         raise ValueError("need n >= 2")
     if any(not 1 <= pos < n for pos in lattice_type.positions):
         raise ValueError("positions must lie in [1, n - 1]")
-    b = bracket_matrix(m, n)
     rng = random.Random(seed)
     r = lattice_type.r_total()
     rep = sample_antidiagonal(n, p, r + 2, rng)
-    blocks = []
-    for j in range(1, n + 1):
-        scale = p ** sum(
-            jump for pos, jump in zip(lattice_type.positions, lattice_type.jumps) if pos >= j
-        )
-        blocks.append(specialize(b, [scale * row[j - 1] for row in rep]))
-    side_by_side = [{j + k * b.cols: x for k, row in enumerate(rows) for j, x in row.items()}
-                    for rows in zip(*blocks)]
-    stacked = [row for block in blocks for row in block]
-    # Valuations >= r add nothing to the index; the trivial type (r = 0) uses 1.
-    log_index = sum(max(r - v, 0) for mat in (side_by_side, stacked)
-                    for v in snf_valuations(mat, p, max(r, 1)))
+    jumps = list(zip(lattice_type.positions, lattice_type.jumps))
+    columns = [[p ** sum(jump for pos, jump in jumps if pos >= j) * row[j - 1] for row in rep]
+               for j in range(1, n + 1)]
     data = numerical_data(m, n)
-    expected = sum(jump * (data.b[pos] - (n - pos))
-                   for pos, jump in zip(lattice_type.positions, lattice_type.jumps))
-    return log_index == expected
+    expected = sum(jump * (data.b[pos] - (n - pos)) for pos, jump in jumps)
+    return index_exponent(bracket_matrix(m, n), columns, p, r) == expected
 
 
 def rep_matrix_check(m: int, n: int, p: int, precision: int, seed: int) -> bool:
-    """Check that the bracket matrix B has e unit divisors at a primitive
-    point; [[0, -B^T], [B, 0]] has those of B and B^T and d - 2e zero ones."""
+    """Check that B(y) has e unit divisors at a primitive y: x(T) of the cyclic
+    T = {v : v.y = 0 mod p^precision} is then 2 e precision, as b_(n-1) - 1 = 2e."""
     require_prime(p)
     if precision < 1:
         raise ValueError("precision must be positive")
@@ -353,7 +353,7 @@ def rep_matrix_check(m: int, n: int, p: int, precision: int, seed: int) -> bool:
         y = [rng.randrange(modulus) for _ in range(n)]
         if any(v % p for v in y):
             break
-    return snf_valuations(specialize(b, y), p, precision) == (0,) * b.cols
+    return index_exponent(b, [y], p, precision) == 2 * b.cols * precision
 
 
 class VerifyRecord(Value):

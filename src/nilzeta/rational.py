@@ -148,19 +148,25 @@ def rf_series_work(x: RationalFunction, upto: int) -> tuple[int, int]:
     w + k (hi - lo) + 1 coefficients, where w >= 0 bounds the spread of the
     numerator's endpoints.  Rows 0..K - 1 hold at most
     K (w + 1) + (hi - lo) K (K - 1) / 2, and each factor, once per
-    multiplicity, reads rows 0..upto - b.
+    multiplicity, reads rows 0..upto - b.  lo, hi and the rows read depend
+    only on each b's least and greatest a, so the bound is formed per b.
     """
     terms = [(eq, et) for eq, et in x.num.terms() if 0 <= et <= upto]
     if not terms:
         return 0, 0
-    lo = min((Fraction(a, b) for a, b, _ in x.den if b), default=0)
-    hi = max((Fraction(a, b) for a, b, _ in x.den if b), default=0)
+    mults: Counter = Counter()
+    ends: dict[int, list[int]] = {}
+    for a, b, mult in x.den:  # in (b, a) order: each b's least a comes first
+        mults[b] += mult
+        ends.setdefault(b, [a, a])[1] = a
+    slopes = [Fraction(a, b) for b, pair in ends.items() if b for a in pair]
+    lo, hi = min(slopes, default=0), max(slopes, default=0)
     spread = max(max(eq - et * hi for eq, et in terms) - min(eq - et * lo for eq, et in terms), 0)
 
     def held(rows: int) -> Fraction:
         return rows * (spread + 1) + (hi - lo) * rows * (rows - 1) / 2 if rows > 0 else Fraction(0)
 
-    return ceil(sum(mult * held(upto - b + 1) for _, b, mult in x.den)), ceil(held(upto + 1))
+    return ceil(sum(mult * held(upto - b + 1) for b, mult in mults.items())), ceil(held(upto + 1))
 
 
 def rf_limit_t1(x: RationalFunction) -> tuple[int, RationalFunction, int]:

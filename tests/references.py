@@ -4,6 +4,8 @@ CLI verb runs.
 - Hermite normal forms listed one by one (hnf_enumerate, hnf_contains), and
   the literal ideal and graded-ideal counts over them (count_ideals_naive,
   count_graded_ideals_naive), against `oracle.dirichlet_counts`.
+- x(T) = log_p [Z^d : X(T)] by counting the u modulo p^r whose brackets
+  lie in T (index_exponent_by_counting), against `oracle.index_exponent`.
 - The census of maximal sublattices by elementary-divisor type
   (maximal_lattice_census, type_from_valuations), against
   `LatticeType.count_formula`.
@@ -69,6 +71,25 @@ def generator_brackets(struct: LieStructure, u) -> list[tuple[int, ...]]:
         out[e + iy][k - 1] += u[ix]
         out[ix][k - 1] -= u[e + iy]
     return [tuple(v) for v in out]
+
+
+def index_exponent_by_counting(struct: LieStructure, columns, p: int, r: int) -> int:
+    """x(T) = log_p [Z^d : X(T)] for T = {v in Z^n : v.s = 0 mod p^r for
+    every column s}, by counting the u in (Z/p^r)^d whose brackets
+    [u, b_g] all lie in T: X(T) contains p^r Z^d, so its index is p^(rd)
+    over that count."""
+    modulus = p**r
+    inside = sum(
+        all(sum(a * b for a, b in zip(v, s)) % modulus == 0
+            for v in generator_brackets(struct, u) for s in columns)
+        for u in iproduct(range(modulus), repeat=struct.dims.d)
+    )
+    index, x = modulus**struct.dims.d // inside, 0
+    while index > 1:
+        index, rest = divmod(index, p)
+        assert rest == 0, "the index is a power of p"
+        x += 1
+    return x
 
 
 def count_ideals_naive(struct: LieStructure, p: int, k: int) -> int:

@@ -397,6 +397,21 @@ def test_check_repmat_samples_primes_commat_does_not(capsys, monkeypatch):
     assert primes == [5] * 5 + [7] * 5
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_check_repmat_fails_when_a_column_of_b_vanishes_mod_p(capsys, monkeypatch, p):
+    # one column's forms times p: every B(y) has rank below e modulo p, so a
+    # non-unit divisor
+    from nilzeta import oracle
+    from nilzeta.liering import LinearFormMatrix, bracket_matrix
+
+    b = bracket_matrix(2, 3)
+    forms = {(i, j): tuple((k, c * p if j == 0 else c) for k, c in form) for (i, j), form in b.forms.items()}
+    broken = LinearFormMatrix(b.rows, b.cols, b.nvars, forms)
+    monkeypatch.setattr(oracle, "bracket_matrix", lambda m, n: broken)
+    assert not any(oracle.rep_matrix_check(2, 3, p, 2, seed) for seed in range(10))
+    assert run_cli(capsys, "check", "2", "3", "--suite", "repmat") == (1, "repmat: FAIL\n", "")
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_check_commat_tests_one_point_per_line(capsys, monkeypatch, n):
     import nilzeta.cli as cli_mod

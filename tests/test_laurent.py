@@ -2,6 +2,8 @@
 
 import ast
 import operator
+import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,6 +104,26 @@ def test_value_at_q():
         p.value_at_q(0)
     with pytest.raises(ValueError):
         LaurentPoly({(0, 1): 1}).value_at_q(2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, Fraction(-2, 3)])
+def test_value_at_q_equals_the_sum_of_its_terms(q):
+    rng = random.Random(str(q))
+    for _ in range(60):
+        terms = {(rng.randrange(-40, 40), 0): rng.randrange(-99, 100) for _ in range(rng.randrange(0, 30))}
+        poly = LaurentPoly(terms)
+        expected = sum(Fraction(c) * Fraction(q) ** eq for (eq, _), c in poly.terms().items())
+        assert poly.value_at_q(q) == expected
+
+
+def test_value_at_q_of_many_terms_is_subquadratic():
+    # one multiplication of the running value per term is quadratic in the
+    # degree: about 7 s on 2 cores
+    poly = LaurentPoly(((e, 0), 1 + e % 7) for e in range(5 * 10**5))
+    start = time.perf_counter()
+    value = poly.value_at_q(2)
+    assert time.perf_counter() - start < 2
+    assert value % 2**64 == sum((1 + e % 7) << e for e in range(64)) % 2**64
 
 
 def test_no_dict_comprehension_reaches_the_constructor():

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import product as iproduct
 from math import prod
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from nilzeta.combinat import PRIME_BOUND, compositions_revlex
 from nilzeta.igusa import census_subtractions
 from nilzeta import oracle, zetas
-from nilzeta.liering import build_structure, rank_mod
+from nilzeta.liering import bracket_matrix, build_structure, rank_mod
 from nilzeta.oracle import (
     CeilingExceededError,
     LatticeType,
@@ -20,6 +21,7 @@ from nilzeta.oracle import (
     dirichlet_counts,
     enumeration_size,
     hnf_count,
+    index_exponent,
     rep_matrix_check,
     sample_antidiagonal,
     snf_valuations,
@@ -32,7 +34,8 @@ from nilzeta.zetas import (NumericalData, abelian_zeta, check_functional_equatio
                            graded_ideal_zeta, ideal_zeta)
 
 from references import (Z2_W, Z3_I, abelian_structure, count_graded_ideals_naive, count_ideals_naive,
-                        generator_brackets, hnf_contains, hnf_enumerate, maximal_lattice_census,
+                        generator_brackets, hnf_contains, hnf_enumerate, index_exponent_by_counting,
+                        maximal_lattice_census,
                         o_hnf_enumerate, o_ideal_counts, type_from_valuations)
 
 
@@ -545,6 +548,25 @@ def test_closed_form_checks_catch_every_index_data_mutant(monkeypatch):
                         if _sees_index_data(m, n):
                             survivors.append((m, n, name, i, step))
     assert (tried, survivors) == (120, [])
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 7)
+                                 if build_structure(m, n).dims.d <= 7])
+def test_index_exponent_equals_a_count_of_x_t(m, n):
+    # three seeded S per prime and precision, of 1, n and n + 1 columns,
+    # wherever the p^(rd) residues u can be listed
+    struct, b = build_structure(m, n), bracket_matrix(m, n)
+    rng = random.Random(10 * m + n)
+    cases = 0
+    for p, r in iproduct((2, 3), (1, 2)):
+        if p ** (r * struct.dims.d) > 20000:
+            continue
+        for width in (1, n, n + 1):
+            columns = [[p ** rng.randrange(r + 1) * rng.randrange(p**r) for _ in range(n)]
+                       for _ in range(width)]
+            assert index_exponent(b, columns, p, r) == index_exponent_by_counting(struct, columns, p, r)
+            cases += 1
+    assert cases >= 3
 
 
 def test_congruence_deterministic_in_seed():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from math import prod
 
 import pytest
@@ -19,6 +20,8 @@ from nilzeta.rational import (
     rf_series_coeffs,
     rf_series_work,
 )
+
+from nilzeta.zetas import ideal_zeta
 
 from references import rational_from_obj
 
@@ -158,6 +161,15 @@ def test_series_work_heisenberg_exact():
     x = RationalFunction(ONE, [(0, 1, 1), (1, 1, 1), (2, 3, 1)])
     assert rf_series_work(x, 100) == (2 * 5050 + 4851, 5151)
     assert sum(len(c.terms()) for c in rf_series_coeffs(x, 100)) == 5151
+
+
+def test_series_work_forms_its_bounds_once_per_b():
+    # 361,204 denominator factors over four distinct b (361,201 of them with
+    # b = 1): a Fraction and a bound per factor take about 5 s on 2 cores
+    zeta = ideal_zeta(600, 3)
+    start = time.perf_counter()
+    assert rf_series_work(zeta, 1) == (361201, 361202)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_series_rejects_b_zero_factor():
